@@ -7,10 +7,9 @@ toward slope = k^2 + 2h is slow; the table is descriptive.
 """
 
 import argparse
-import csv
-import math
 
-from zetalab.moments import MomentRequest, joint_moment, scaling_report
+from zetalab.csvio import write_csv
+from zetalab.moments import scaling_report
 
 
 def main() -> None:
@@ -37,11 +36,8 @@ def main() -> None:
             for T, value, ratio in zip(rep.Ts, rep.values, rep.ratios):
                 rows.append([T, k, h, args.target, value, ratio, rep.slope,
                              rep.predicted_exponent])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["T", "k", "h", "target", "value", "ratio", "slope",
-                         "predicted_exponent"])
-        writer.writerows(rows)
+    write_csv(args.out, ["T", "k", "h", "target", "value", "ratio", "slope",
+                         "predicted_exponent"], rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
 
 

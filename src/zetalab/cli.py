@@ -12,7 +12,6 @@ Exit codes: 0 ok, 2 config error, 3 numeric regime error, 4 capacity error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import critline, dirpoly, gridcache, inequality, moments, primes, twisted
+from .csvio import write_csv
 from .errors import CapacityError, ConfigError, DomainError
 
 EXIT_OK = 0
@@ -85,13 +85,6 @@ def _load_poly(spec: str) -> tuple[str, dirpoly.DirichletPoly]:
     return Path(spec).stem, dirpoly.read_poly_csv(spec)
 
 
-def _write_rows(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -117,12 +110,9 @@ def _cmd_eval(args) -> int:
     ts = args.t_min + (np.arange(count) + 0.5) * step
     acc = critline.EvalAccuracy(rs_correction_terms=args.rs_terms)
     grid = critline.eval_grid(ts, acc, workers=args.workers)
-    rows = [
-        [repr(float(grid.t[i])), repr(float(grid.Z[i])), repr(float(grid.Z_prime[i])),
-         repr(float(grid.theta[i])), repr(float(grid.theta_prime[i]))]
-        for i in range(grid.t.size)
-    ]
-    _write_rows(args.out, ["t", "Z", "Z_prime", "theta", "theta_prime"], rows)
+    columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
+    rows = zip(*(c.tolist() for c in columns))
+    write_csv(args.out, ["t", "Z", "Z_prime", "theta", "theta_prime"], rows)
     if args.cache:
         gridcache.write_grid(grid, args.cache)
     print(f"wrote {args.out}: {grid.t.size} samples, est_abs_error={grid.est_abs_error:.3g}")
@@ -170,12 +160,11 @@ def _cmd_twisted(args) -> int:
                  weight=args.weight, value=repr(direct_val), nodes="", mesh=repr(mesh), ratio="")
         )
     if args.method in ("contour", "both"):
-        cfg2 = twisted.ShiftConfig.for_height(args.T, args.nodes)
-        if args.weight in ("dzeta2", "dZ2"):
-            target = "zeta" if args.weight == "dzeta2" else "hardyZ"
+        z2_power, target = twisted.WEIGHTS[args.weight]
+        if z2_power == 0:
+            cfg2 = twisted.ShiftConfig.for_height(args.T, args.nodes)
             contour_val = twisted.contour_second_moment(poly, args.T, cfg2, phi, target)
         else:
-            target = "zeta" if args.weight == "zeta2dzeta2" else "hardyZ"
             cfg4 = twisted.ShiftConfig.for_height(
                 args.T, args.nodes, twisted.fourth_moment_scale(args.T)
             )
@@ -320,7 +309,7 @@ def _selftest_checks(seed: int, workers: int):
 def _cmd_selftest(args) -> int:
     checks = _selftest_checks(args.seed, args.workers)
     rows = [[name, int(passed), detail] for name, passed, detail in checks]
-    _write_rows(args.out, ["check", "pass", "detail"], rows)
+    write_csv(args.out, ["check", "pass", "detail"], rows)
     failed = [name for name, passed, _ in checks if not passed]
     print(f"wrote {args.out}: {len(checks)} checks, {len(failed)} failures")
     if failed:
@@ -370,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--target", choices=moments.TARGETS, default="zeta")
+    p.add_argument("--target", choices=critline.TARGETS, default="zeta")
     p.add_argument("--points-per-gap", type=int, default=20)
     p.set_defaults(func=_cmd_moments, default_out="moments.csv")
 
@@ -385,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-omega", type=float, default=500.0)
     p.add_argument("--c-p", type=float, default=50.0)
     p.add_argument("--variant", choices=inequality.VARIANTS, default="full_product")
-    p.add_argument("--target", choices=inequality.TARGETS, default="zeta")
+    p.add_argument("--target", choices=critline.TARGETS, default="zeta")
     p.add_argument("--sieve-limit", type=int, default=10_000)
     p.set_defaults(func=_cmd_inequality, default_out="inequality.csv")
 
@@ -420,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error code={EXIT_CAPACITY} kind=capacity msg={exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (DomainError, IndexError) as exc:
+    except DomainError as exc:
         print(f"error code={EXIT_REGIME} kind=regime msg={exc}", file=sys.stderr)
         return EXIT_REGIME
 

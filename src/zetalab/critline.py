@@ -22,6 +22,11 @@ from .errors import DomainError
 TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
 
+# Integrand targets, each mapped to whether its derivative square carries
+# the phase term: |zeta'|^2 = Z'^2 + theta'^2 Z^2 on the line, while the
+# Hardy-Z target keeps Z'^2 alone.
+TARGETS = {"zeta": True, "hardyZ": False}
+
 RS_MIN_T = 50.0
 ORACLE_MIN_T = 10.0
 MAX_HEIGHT = 1.0e7
@@ -35,6 +40,9 @@ EM_MAX_IM = 1.0e5
 RS_ERR_COEF = (0.07, 0.012, 1.0e-3, 1.1e-3, 8.5e-3)
 
 MAX_RS_TERMS = 4
+
+# Bernoulli terms M of the Euler-Maclaurin tail; the cutoff N follows s.
+EM_BERNOULLI_TERMS = 30
 
 
 # ---------------------------------------------------------------------------
@@ -68,27 +76,20 @@ def _bernoulli(n_max: int) -> list[float]:
 
 @dataclass(frozen=True)
 class EvalAccuracy:
-    """Evaluation controls.
+    """Evaluation controls of the Riemann-Siegel path.
 
     rs_correction_terms counts Riemann-Siegel correction terms beyond the
     main sum (0..4; the value 4 is needed to reach 1e-6 agreement with the
-    oracle near t = 100).  em_terms = 0 lets the oracle pick its own cutoff.
+    oracle near t = 100).
     """
 
     rs_correction_terms: int = 4
-    em_terms: int = 0
-    em_bernoulli_terms: int = 30
-    fd_step: float = 1.0e-3
 
     def __post_init__(self) -> None:
         if not 0 <= self.rs_correction_terms <= MAX_RS_TERMS:
             raise DomainError(
                 f"rs_correction_terms must lie in [0, {MAX_RS_TERMS}], got {self.rs_correction_terms}"
             )
-        if self.em_terms < 0 or self.em_bernoulli_terms < 1:
-            raise DomainError("Euler-Maclaurin term counts must be nonnegative")
-        if not self.fd_step > 0.0:
-            raise DomainError("fd_step must be positive")
 
 
 DEFAULT_ACCURACY = EvalAccuracy()
@@ -122,20 +123,13 @@ def theta_pair(t: float) -> tuple[float, float]:
     Valid for t >= 10 with absolute error below 1e-9 (the truncation after
     the t^-7 term is ~3e-12 at t = 10).
     """
-    if t < ORACLE_MIN_T:
-        raise DomainError(f"theta expansion needs t >= {ORACLE_MIN_T}, got {t}")
-    half_log = 0.5 * math.log(t / TWO_PI)
-    theta = t * half_log - t / 2.0 - math.pi / 8.0
-    theta_p = half_log
-    for coef, power in _THETA_TAIL:
-        theta += coef / t**power
-        theta_p -= coef * power / t ** (power + 1)
-    return theta, theta_p
+    theta, theta_p = theta_pair_vec(np.array([t], dtype=float))
+    return float(theta[0]), float(theta_p[0])
 
 
 def theta_pair_vec(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(t < ORACLE_MIN_T):
-        raise DomainError("theta expansion needs t >= 10 everywhere on the grid")
+        raise DomainError(f"theta expansion needs t >= {ORACLE_MIN_T:g} everywhere")
     half_log = 0.5 * np.log(t / TWO_PI)
     theta = t * half_log - t / 2.0 - math.pi / 8.0
     theta_p = half_log.copy()
@@ -145,49 +139,46 @@ def theta_pair_vec(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, theta_p
 
 
-def _log_gamma(z: complex) -> complex:
-    """Principal log Gamma by argument shift plus a Stirling tail."""
-    if z.real <= 0.0:
-        raise DomainError(f"log Gamma evaluation needs Re z > 0, got {z}")
-    shift = 0.0 + 0.0j
-    w = complex(z)
-    while abs(w) < 16.0:
-        shift += np.log(w)
-        w += 1.0
+def _lgamma_vec(w: np.ndarray) -> np.ndarray:
+    """Principal log Gamma for arrays with Re w > 0 (fixed shift + Stirling)."""
+    w = np.asarray(w, dtype=complex)
+    shift_count = 18
+    acc = np.zeros_like(w)
+    for i in range(shift_count):
+        acc += np.log(w + i)
+    ws = w + shift_count
     bern = _bernoulli(22)
-    out = (w - 0.5) * np.log(w) - w + 0.5 * math.log(TWO_PI)
-    wp = w
+    out = (ws - 0.5) * np.log(ws) - ws + 0.5 * math.log(TWO_PI)
+    wp = ws.copy()
     for k in range(1, 11):
         out += bern[2 * k] / ((2 * k) * (2 * k - 1) * wp)
-        wp *= w * w
-    return out - shift
+        wp = wp * ws * ws
+    return out - acc
 
 
-def _digamma(z: complex) -> complex:
-    if z.real <= 0.0:
-        raise DomainError(f"digamma evaluation needs Re z > 0, got {z}")
-    shift = 0.0 + 0.0j
-    w = complex(z)
-    while abs(w) < 16.0:
-        shift += 1.0 / w
-        w += 1.0
+def _digamma_vec(w: np.ndarray) -> np.ndarray:
+    w = np.asarray(w, dtype=complex)
+    shift_count = 18
+    acc = np.zeros_like(w)
+    for i in range(shift_count):
+        acc += 1.0 / (w + i)
+    ws = w + shift_count
     bern = _bernoulli(22)
-    out = np.log(w) - 0.5 / w
-    wp = w * w
+    out = np.log(ws) - 0.5 / ws
+    wp = ws * ws
     for k in range(1, 11):
         out -= bern[2 * k] / ((2 * k) * wp)
-        wp *= w * w
-    return out - shift
+        wp *= ws * ws
+    return out - acc
 
 
-def theta_gamma(t: float) -> float:
-    """Oracle theta via the Gamma phase; valid for all t >= 0."""
-    lg = _log_gamma(0.25 + 0.5j * t)
-    return lg.imag - 0.5 * t * LOG_PI
+def theta_gamma(t):
+    """Oracle theta via the Gamma phase; valid for all t >= 0, scalar or array."""
+    return _lgamma_vec(0.25 + 0.5j * np.asarray(t, dtype=float)).imag - 0.5 * t * LOG_PI
 
 
-def theta_gamma_prime(t: float) -> float:
-    return 0.5 * _digamma(0.25 + 0.5j * t).real - 0.5 * LOG_PI
+def theta_gamma_prime(t):
+    return 0.5 * _digamma_vec(0.25 + 0.5j * np.asarray(t, dtype=float)).real - 0.5 * LOG_PI
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +186,8 @@ def theta_gamma_prime(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _em_params(s: complex, acc: EvalAccuracy) -> tuple[int, int]:
-    m_terms = acc.em_bernoulli_terms
-    if acc.em_terms > 0:
-        return acc.em_terms, m_terms
+def _em_params(s: complex) -> tuple[int, int]:
+    m_terms = EM_BERNOULLI_TERMS
     # Pick N so the Bernoulli tail ratio q = (|s| + 2M) / (2 pi N) is small
     # enough that 2 N^{1-sigma} q^{2M} clears 1e-13; sigma below 1/2 needs a
     # smaller q, handled by doubling.
@@ -303,42 +292,7 @@ def _cot(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lgamma_vec(w: np.ndarray) -> np.ndarray:
-    """Principal log Gamma for arrays with Re w > 0 (fixed shift + Stirling)."""
-    w = np.asarray(w, dtype=complex)
-    shift_count = 18
-    acc = np.zeros_like(w)
-    for i in range(shift_count):
-        acc += np.log(w + i)
-    ws = w + shift_count
-    bern = _bernoulli(22)
-    out = (ws - 0.5) * np.log(ws) - ws + 0.5 * math.log(TWO_PI)
-    wp = ws.copy()
-    for k in range(1, 11):
-        out += bern[2 * k] / ((2 * k) * (2 * k - 1) * wp)
-        wp = wp * ws * ws
-    return out - acc
-
-
-def _digamma_vec(w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=complex)
-    shift_count = 18
-    acc = np.zeros_like(w)
-    for i in range(shift_count):
-        acc += 1.0 / (w + i)
-    ws = w + shift_count
-    bern = _bernoulli(22)
-    out = np.log(ws) - 0.5 / ws
-    wp = ws * ws
-    for k in range(1, 11):
-        out -= bern[2 * k] / ((2 * k) * wp)
-        wp *= ws * ws
-    return out - acc
-
-
-def zeta_em_vec(
-    s: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURACY
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def zeta_em_vec(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vector zeta and zeta' with functional-equation reflection for Re s < -1/2.
 
     Direct Euler-Maclaurin summation loses accuracy to cancellation as the
@@ -355,7 +309,7 @@ def zeta_em_vec(
     if np.any(direct):
         sd = flat[direct]
         n_terms, m_terms = _em_params(
-            complex(float(np.min(sd.real)), float(np.max(np.abs(sd.imag)))), acc
+            complex(float(np.min(sd.real)), float(np.max(np.abs(sd.imag))))
         )
         z, dz, e = _zeta_em_core(sd, n_terms, m_terms)
         zeta[direct], dzeta[direct], est[direct] = z, dz, e
@@ -363,7 +317,7 @@ def zeta_em_vec(
         sr = flat[~direct]
         w = 1.0 - sr
         n_terms, m_terms = _em_params(
-            complex(float(np.min(w.real)), float(np.max(np.abs(w.imag)))), acc
+            complex(float(np.min(w.real)), float(np.max(np.abs(w.imag))))
         )
         zw, dzw, ew = _zeta_em_core(w, n_terms, m_terms)
         x = 0.5 * math.pi * sr
@@ -379,27 +333,23 @@ def zeta_em_vec(
     return zeta.reshape(s.shape), dzeta.reshape(s.shape), est.reshape(s.shape)
 
 
-def zeta_em(s: complex, acc: EvalAccuracy = DEFAULT_ACCURACY) -> tuple[complex, complex]:
+def zeta_em(s: complex) -> tuple[complex, complex]:
     """Euler-Maclaurin zeta(s) and zeta'(s); oracle regime |Im s| <= 1e5."""
-    z, dz, _ = zeta_em_full(s, acc)
+    z, dz, _ = zeta_em_full(s)
     return z, dz
 
 
-def zeta_em_full(
-    s: complex, acc: EvalAccuracy = DEFAULT_ACCURACY
-) -> tuple[complex, complex, float]:
+def zeta_em_full(s: complex) -> tuple[complex, complex, float]:
     s = complex(s)
     if abs(s - 1.0) < 1.0e-12:
         raise DomainError("zeta has a pole at s = 1")
     if abs(s.imag) > EM_MAX_IM:
         raise DomainError(f"Euler-Maclaurin oracle regime is |Im s| <= {EM_MAX_IM:g}")
-    z, dz, est = zeta_em_vec(np.array([s]), acc)
+    z, dz, est = zeta_em_vec(np.array([s]))
     return complex(z[0]), complex(dz[0]), float(est[0])
 
 
-def zeta_em_line(
-    t: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURACY
-) -> tuple[np.ndarray, np.ndarray, float]:
+def zeta_em_line(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Vectorized oracle on s = 1/2 + i t for an ascending grid t."""
     t = np.asarray(t, dtype=float)
     if t.size == 0:
@@ -413,7 +363,7 @@ def zeta_em_line(
     for lo in range(0, t.size, chunk):
         tt = t[lo : lo + chunk]
         s = 0.5 + 1.0j * tt
-        n_terms, m_terms = _em_params(complex(0.5, float(np.max(np.abs(tt)))), acc)
+        n_terms, m_terms = _em_params(complex(0.5, float(np.max(np.abs(tt)))))
         z, dz, est = _zeta_em_core(s, n_terms, m_terms)
         zeta[lo : lo + chunk] = z
         dzeta[lo : lo + chunk] = dz
@@ -520,12 +470,17 @@ def rs_error_estimate(t: float, rs_correction_terms: int) -> float:
 
 def hardy_Z(t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> tuple[float, float]:
     """Z(t) and Z'(t) by the Riemann-Siegel formula; regime t >= 50."""
+    return _hardy_point(t, acc)[:2]
+
+
+def _hardy_point(t: float, acc: EvalAccuracy) -> tuple[float, float, float, float]:
+    """(Z, Z', theta, theta') at one height by the Riemann-Siegel formula."""
     if t < RS_MIN_T:
         raise DomainError(f"Riemann-Siegel path needs t >= {RS_MIN_T}; use the oracle below")
     if t > MAX_HEIGHT:
         raise DomainError(f"height capped at {MAX_HEIGHT:g} to keep the main sum desk-scale")
-    out = _hardy_grid(np.array([t]), acc)
-    return float(out[0][0]), float(out[1][0])
+    z, zp, theta, theta_p = _hardy_grid(np.array([t]), acc)
+    return float(z[0]), float(zp[0]), float(theta[0]), float(theta_p[0])
 
 
 def _hardy_grid(
@@ -594,8 +549,7 @@ def critical_sample(
     other way around.
     """
     if t >= RS_MIN_T:
-        theta, theta_p = theta_pair(t)
-        z, zp = hardy_Z(t, acc)
+        z, zp, theta, theta_p = _hardy_point(t, acc)
         rot = np.exp(-1j * theta)
         zeta = rot * z
         zeta_p = rot * (-1j * zp - theta_p * z)
@@ -603,7 +557,7 @@ def critical_sample(
         return CriticalPointSample(t, theta, theta_p, z, zp, complex(zeta), complex(zeta_p), est)
     if t >= ORACLE_MIN_T:
         theta, theta_p = theta_pair(t)
-        zeta, zeta_p, est = zeta_em_full(0.5 + 1j * t, acc)
+        zeta, zeta_p, est = zeta_em_full(0.5 + 1j * t)
         rot = np.exp(1j * theta)
         zc = rot * zeta
         z = zc.real
@@ -628,6 +582,12 @@ class GridData:
 
     def dzeta_abs2(self) -> np.ndarray:
         return self.Z_prime**2 + self.theta_prime**2 * self.Z**2
+
+    def dabs2(self, target: str) -> np.ndarray:
+        """Derivative square of the target: |zeta'|^2 for "zeta", Z'^2 for "hardyZ"."""
+        if target not in TARGETS:
+            raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+        return self.dzeta_abs2() if TARGETS[target] else self.Z_prime**2
 
 
 def eval_grid(
@@ -663,10 +623,10 @@ def eval_grid(
 # ---------------------------------------------------------------------------
 
 
-def z_oracle(t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> float:
+def z_oracle(t: float) -> float:
     """Z(t) through the Gamma phase and Euler-Maclaurin zeta; any t >= 0."""
     theta = theta_gamma(t)
-    zeta, _, _ = zeta_em_full(0.5 + 1j * t, acc)
+    zeta, _, _ = zeta_em_full(0.5 + 1j * t)
     return float((np.exp(1j * theta) * zeta).real)
 
 
@@ -680,9 +640,8 @@ def count_sign_changes(
     """
     grid = np.arange(t0, t1 + step, step)
     grid = grid[grid <= t1]
-    theta = np.array([theta_gamma(x) for x in grid])
     zeta, _, _ = zeta_em_line(grid)
-    vals = (np.exp(1j * theta) * zeta).real
+    vals = (np.exp(1j * theta_gamma(grid)) * zeta).real
     zeros: list[float] = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import CapacityError, DomainError
 from .primes import IncrementScheme, prime_sum_at
 
 DEFAULT_TERM_CAP = 10_000_000
-DEFAULT_PAIR_CAP = 100_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,28 +69,6 @@ class MultiplicativeSpec:
             raise DomainError(f"omega cutoff must be positive, got {self.omega_cutoff}")
 
 
-def big_omega(n: int) -> int:
-    """Number of prime factors of n with multiplicity."""
-    if n < 1:
-        raise DomainError(f"big_omega needs n >= 1, got {n}")
-    count = 0
-    m = n
-    for p in (2, 3):
-        while m % p == 0:
-            m //= p
-            count += 1
-    f = 5
-    while f * f <= m:
-        for p in (f, f + 2):
-            while m % p == 0:
-                m //= p
-                count += 1
-        f += 6
-    if m > 1:
-        count += 1
-    return count
-
-
 def factorize(n: int) -> dict[int, int]:
     if n < 1:
         raise DomainError(f"factorize needs n >= 1, got {n}")
@@ -110,6 +88,11 @@ def factorize(n: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
+
+
+def big_omega(n: int) -> int:
+    """Number of prime factors of n with multiplicity."""
+    return sum(factorize(n).values())
 
 
 def factorial_weight(n: int) -> float:
@@ -233,17 +216,19 @@ def increment_series_eval(
     Taylor polynomial of exp at alpha P_j(1/2+it); K = floor(cutoff * P_j).
     """
     t = np.asarray(t, dtype=float)
-    ps = scheme.prime_range(j).astype(float)
-    if ps.size == 0:
+    if scheme.prime_range(j).size == 0:
         return np.ones(t.shape, dtype=complex)
     k_max = int(math.floor(omega_cutoff * scheme.variance(j)))
-    logs = np.log(ps)
-    w = (alpha * np.exp(-0.5 * logs)[None, :] * np.exp(-1j * np.outer(t, logs))).sum(axis=1)
-    out = np.ones(t.shape, dtype=complex)
-    term = np.ones(t.shape, dtype=complex)
-    for m in range(1, k_max + 1):
+    return _truncated_exp(alpha * prime_sum_at(scheme, j, 0.5 + 1j * t), k_max)
+
+
+def _truncated_exp(w, depth: int):
+    """Degree-`depth` Taylor polynomial of exp at w, a scalar or an array."""
+    out = np.ones(np.shape(w), dtype=complex)
+    term = 1.0
+    for m in range(1, depth + 1):
         term = term * w / m
-        out += term
+        out = out + term
     return out
 
 
@@ -264,14 +249,8 @@ def exp_identity_gap(
     coeffs = _enumerate_coeffs(ps, complex(alpha), taylor_depth, DEFAULT_TERM_CAP)
     poly = DirichletPoly.from_coeffs(coeffs)
     lhs = poly_eval(poly, t)
-    w = alpha * prime_sum_at(scheme, j, complex(0.5, t))
-    rhs = 0.0 + 0.0j
-    term = 1.0 + 0.0j
-    rhs += term
-    for m in range(1, taylor_depth + 1):
-        term = term * w / m
-        rhs += term
-    return abs(lhs - rhs)
+    rhs = _truncated_exp(alpha * prime_sum_at(scheme, j, complex(0.5, t)), taylor_depth)
+    return float(abs(lhs - rhs))
 
 
 def product_length_fraction(
@@ -302,12 +281,8 @@ def product_length_fraction(
 
 def write_poly_csv(poly: DirichletPoly, path) -> None:
     """Columns: n, re(a_n), im(a_n)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "re_a", "im_a"])
-        for n in sorted(poly.coeffs):
-            a = poly.coeffs[n]
-            writer.writerow([n, repr(a.real), repr(a.imag)])
+    rows = [[n, poly.coeffs[n].real, poly.coeffs[n].imag] for n in sorted(poly.coeffs)]
+    write_csv(path, ["n", "re_a", "im_a"], rows)
 
 
 def read_poly_csv(path) -> DirichletPoly:

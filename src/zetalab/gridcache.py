@@ -1,8 +1,8 @@
 """Binary grid cache: magic "ZML1", version byte, float64 records.
 
 Record layout is little-endian (t, Z, Z', theta, theta') per sample; the
-format round-trips grids bit-exactly and is shared by the moments module
-and the CLI.
+format round-trips grids bit-exactly.  Only the CLI writes it (`zetalab eval
+--cache`); the quadrature modules evaluate their grids afresh.
 """
 
 from __future__ import annotations

@@ -11,21 +11,20 @@ so a failure is an implementation bug, never data.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .critline import DEFAULT_ACCURACY, EvalAccuracy, eval_grid
+from .critline import eval_grid
+from .csvio import write_csv
 from .dirpoly import increment_series_eval
 from .errors import ConfigError, DomainError
 from .moments import MomentEstimate
 from .primes import IncrementScheme, prime_sum_at
 
 VARIANTS = ("full_product", "partial_product")
-TARGETS = ("zeta", "hardyZ")
 
 # Exact rational ceil is affordable up to this many primes per range.
 _EXACT_CEIL_MAX_PRIMES = 10_000
@@ -82,18 +81,13 @@ def _increment_products(
 
 
 def interpolation_sides_grid(
-    t: np.ndarray,
-    cfg: InterpolationConfig,
-    target: str = "zeta",
-    acc: EvalAccuracy = DEFAULT_ACCURACY,
+    t: np.ndarray, cfg: InterpolationConfig, target: str = "zeta"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector (lhs, rhs) of the pointwise bound over an ascending grid."""
-    if target not in TARGETS:
-        raise DomainError(f"target must be one of {TARGETS}, got {target!r}")
     t = np.asarray(t, dtype=float)
-    grid = eval_grid(t, acc)
+    grid = eval_grid(t)
     za = np.abs(grid.Z)
-    dz2 = grid.dzeta_abs2() if target == "zeta" else grid.Z_prime**2
+    dz2 = grid.dabs2(target)
     k = cfg.k
     lhs = za ** (2.0 * k - 2.0) * dz2
 
@@ -109,11 +103,7 @@ def interpolation_sides_grid(
         if pv == 0.0:
             continue
         m_v = penalty_exponent(cfg, v)
-        psum = np.abs(
-            np.array(
-                [prime_sum_at(scheme, v, complex(0.5, tt)) for tt in t], dtype=complex
-            )
-        )
+        psum = np.abs(prime_sum_at(scheme, v, 0.5 + 1j * t))
         # Penalty in log space: the exponent 2 ceil(c_p P_v) can be large.
         with np.errstate(divide="ignore"):
             logw = 2.0 * m_v * (np.log(psum) - math.log(cfg.c_p * pv))
@@ -126,13 +116,10 @@ def interpolation_sides_grid(
 
 
 def interpolation_sides(
-    t: float,
-    cfg: InterpolationConfig,
-    target: str = "zeta",
-    acc: EvalAccuracy = DEFAULT_ACCURACY,
+    t: float, cfg: InterpolationConfig, target: str = "zeta"
 ) -> tuple[float, float]:
     """Pointwise (lhs, rhs) of the interpolation bound at a single height."""
-    lhs, rhs = interpolation_sides_grid(np.array([t]), cfg, target, acc)
+    lhs, rhs = interpolation_sides_grid(np.array([t]), cfg, target)
     return float(lhs[0]), float(rhs[0])
 
 
@@ -161,10 +148,7 @@ class InterpolationReport:
 
 
 def check_interpolation(
-    grid: np.ndarray,
-    cfg: InterpolationConfig,
-    target: str = "zeta",
-    acc: EvalAccuracy = DEFAULT_ACCURACY,
+    grid: np.ndarray, cfg: InterpolationConfig, target: str = "zeta"
 ) -> InterpolationReport:
     """Pointwise pass/fail over a grid; failures are data, not exceptions."""
     grid = np.sort(np.asarray(grid, dtype=float))
@@ -173,27 +157,21 @@ def check_interpolation(
         return InterpolationReport(
             empty, empty, empty, empty, np.zeros(0, dtype=bool), cfg.k, target, cfg.variant
         )
-    lhs, rhs = interpolation_sides_grid(grid, cfg, target, acc)
+    lhs, rhs = interpolation_sides_grid(grid, cfg, target)
     margin = rhs - lhs
     return InterpolationReport(grid, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
 
 
 def write_interpolation_csv(report: InterpolationReport, path) -> None:
     """Columns: t, k, lhs, rhs, margin, pass."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "k", "lhs", "rhs", "margin", "pass"])
-        for i in range(report.t.size):
-            writer.writerow(
-                [
-                    repr(float(report.t[i])),
-                    repr(report.k),
-                    repr(float(report.lhs[i])),
-                    repr(float(report.rhs[i])),
-                    repr(float(report.margin[i])),
-                    int(report.passed[i]),
-                ]
-            )
+    rows = [
+        [t, report.k, lhs, rhs, margin, int(passed)]
+        for t, lhs, rhs, margin, passed in zip(
+            report.t.tolist(), report.lhs.tolist(), report.rhs.tolist(),
+            report.margin.tolist(), report.passed.tolist(),
+        )
+    ]
+    write_csv(path, ["t", "k", "lhs", "rhs", "margin", "pass"], rows)
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,17 @@ and degrades gracefully.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .critline import DEFAULT_ACCURACY, EvalAccuracy, GridData, eval_grid
+from .critline import TARGETS, TWO_PI, GridData, eval_grid
+from .csvio import write_csv
 from .errors import ConfigError, DomainError
 
 T_MIN = 1.0e3
 T_MAX = 1.0e7
-TWO_PI = 2.0 * math.pi
-
-TARGETS = ("zeta", "hardyZ")
 
 # Floor applied to |Z| only when a negative power is requested (h > k).
 ABS_FLOOR = 1.0e-8
@@ -50,7 +47,7 @@ class MomentRequest:
                 f"h = {self.h} outside [0, k + 1/2] = [0, {self.k + 0.5}]"
             )
         if self.target not in TARGETS:
-            raise DomainError(f"target must be one of {TARGETS}, got {self.target!r}")
+            raise DomainError(f"target must be one of {tuple(TARGETS)}, got {self.target!r}")
         if self.points_per_gap < 1:
             raise DomainError("points_per_gap must be >= 1")
 
@@ -69,18 +66,16 @@ class MomentEstimate:
     capped: bool = False
 
 
-def _midpoint_grid(T: float, mesh_nominal: float) -> tuple[np.ndarray, float, int]:
-    panels = int(math.ceil(T / mesh_nominal))
-    mesh = T / panels
-    ts = T + (np.arange(panels) + 0.5) * mesh
-    return ts, mesh, panels
+def _midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float]:
+    """Midpoints of the fewest equal panels of [lo, hi] no wider than mesh,
+    and the panel width."""
+    panels = int(math.ceil((hi - lo) / mesh))
+    step = (hi - lo) / panels
+    return lo + (np.arange(panels) + 0.5) * step, step
 
 
 def moment_grids(
-    T: float,
-    points_per_gap: int = 20,
-    acc: EvalAccuracy = DEFAULT_ACCURACY,
-    workers: int = 1,
+    T: float, points_per_gap: int = 20, workers: int = 1
 ) -> tuple[GridData, GridData]:
     """Critical-line samples at the working mesh and at half mesh.
 
@@ -88,14 +83,14 @@ def moment_grids(
     the half-mesh grid feeds the error estimate.
     """
     nominal = mean_zero_gap(T) / points_per_gap
-    ts, _, _ = _midpoint_grid(T, nominal)
-    ts_half, _, _ = _midpoint_grid(T, nominal / 2.0)
-    return eval_grid(ts, acc, workers), eval_grid(ts_half, acc, workers)
+    ts, _ = _midpoint_grid(T, 2.0 * T, nominal)
+    ts_half, _ = _midpoint_grid(T, 2.0 * T, nominal / 2.0)
+    return eval_grid(ts, workers=workers), eval_grid(ts_half, workers=workers)
 
 
 def _integrand(grid: GridData, req: MomentRequest) -> tuple[np.ndarray, bool]:
     za = np.abs(grid.Z)
-    dz2 = grid.dzeta_abs2() if req.target == "zeta" else grid.Z_prime**2
+    dz2 = grid.dabs2(req.target)
     e1 = 2.0 * req.k - 2.0 * req.h
     capped = False
     if e1 < 0.0:
@@ -117,14 +112,10 @@ def joint_moment_on_grids(
     return MomentEstimate(value, mesh, panels, est, req, capped)
 
 
-def joint_moment(
-    req: MomentRequest,
-    acc: EvalAccuracy = DEFAULT_ACCURACY,
-    workers: int = 1,
-) -> MomentEstimate:
+def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
     """Composite midpoint value of the joint moment with a mesh-halving
     relative error estimate."""
-    grid, grid_half = moment_grids(req.T, req.points_per_gap, acc, workers)
+    grid, grid_half = moment_grids(req.T, req.points_per_gap, workers)
     return joint_moment_on_grids(req, grid, grid_half)
 
 
@@ -152,7 +143,6 @@ def scaling_report(
     h: float,
     target: str = "zeta",
     points_per_gap: int = 20,
-    acc: EvalAccuracy = DEFAULT_ACCURACY,
     workers: int = 1,
 ) -> ScalingReport:
     """Ratios against T (log T)^(k^2+2h) plus a least-squares log-log slope.
@@ -168,7 +158,7 @@ def scaling_report(
     values = []
     ratios = []
     for T in T_list:
-        est = joint_moment(MomentRequest(T, k, h, target, points_per_gap), acc, workers)
+        est = joint_moment(MomentRequest(T, k, h, target, points_per_gap), workers)
         values.append(est.value)
         ratios.append(est.value / (T * math.log(T) ** expo))
     xs = np.log(np.log(np.asarray(T_list)))
@@ -182,33 +172,11 @@ def scaling_report(
 def write_moment_csv(estimates: list[MomentEstimate], path) -> None:
     """Columns: T, k, h, target, value, mesh, panels, est_rel_error,
     ratio_to_conjectured_power."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "T",
-                "k",
-                "h",
-                "target",
-                "value",
-                "mesh",
-                "panels",
-                "est_rel_error",
-                "ratio_to_conjectured_power",
-            ]
-        )
-        for est in estimates:
-            req = est.request
-            writer.writerow(
-                [
-                    repr(req.T),
-                    repr(req.k),
-                    repr(req.h),
-                    req.target,
-                    repr(est.value),
-                    repr(est.mesh),
-                    est.panels,
-                    repr(est.est_rel_error),
-                    repr(conjectured_power_ratio(est)),
-                ]
-            )
+    header = ["T", "k", "h", "target", "value", "mesh", "panels", "est_rel_error",
+              "ratio_to_conjectured_power"]
+    rows = [
+        [est.request.T, est.request.k, est.request.h, est.request.target, est.value,
+         est.mesh, est.panels, est.est_rel_error, conjectured_power_ratio(est)]
+        for est in estimates
+    ]
+    write_csv(path, header, rows)

@@ -9,12 +9,12 @@ user-supplied boundaries shares the same container and contracts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .csvio import write_csv
 from .errors import CapacityError, DomainError
 
 E_SQUARED = math.exp(2.0)
@@ -122,7 +122,7 @@ class IncrementScheme:
 
     def _check_index(self, j: int) -> None:
         if not 2 <= j <= self.ell:
-            raise IndexError(f"increment index {j} outside [2, {self.ell}]")
+            raise DomainError(f"increment index {j} outside [2, {self.ell}]")
 
     @property
     def empty_increments(self) -> tuple[int, ...]:
@@ -211,13 +211,17 @@ def custom_scheme(
     )
 
 
-def prime_sum_at(scheme: IncrementScheme, j: int, s: complex) -> complex:
+def prime_sum_at(scheme: IncrementScheme, j: int, s):
     """Sum of p^{-s} over the j-th prime range, ascending order.
 
-    Real s reuses the accumulation that produced the stored variances, so
+    An array of s gives the array of sums, as complex numbers.  Real scalar
+    s reuses the accumulation that produced the stored variances, so
     prime_sum_at(scheme, j, 1) == scheme.variance(j) exactly.
     """
     chunk = scheme.prime_range(j).astype(float)
+    if np.ndim(s):
+        s = np.asarray(s, dtype=complex)
+        return np.exp(-s[..., None] * np.log(chunk)).sum(axis=-1)
     if chunk.size == 0:
         return 0.0 + 0.0j if (isinstance(s, complex) and s.imag != 0.0) else 0.0
     if isinstance(s, complex) and s.imag != 0.0:
@@ -242,18 +246,8 @@ def mertens_target(scheme: IncrementScheme, j: int) -> float:
 
 def write_scheme_csv(scheme: IncrementScheme, path) -> None:
     """Columns: j, T_j, P_j, range_prime_count (P_1 reported as 0)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["j", "T_j", "P_j", "range_prime_count"])
-        for j in range(1, scheme.ell + 1):
-            if j == 1:
-                writer.writerow([1, repr(scheme.boundaries[0]), repr(0.0), 0])
-            else:
-                writer.writerow(
-                    [
-                        j,
-                        repr(scheme.boundaries[j - 1]),
-                        repr(scheme.variances[j - 2]),
-                        int(scheme.ranges[j - 2].size),
-                    ]
-                )
+    rows = [[1, scheme.boundaries[0], 0.0, 0]] + [
+        [j, scheme.boundaries[j - 1], scheme.variances[j - 2], scheme.ranges[j - 2].size]
+        for j in range(2, scheme.ell + 1)
+    ]
+    write_csv(path, ["j", "T_j", "P_j", "range_prime_count"], rows)

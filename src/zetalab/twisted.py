@@ -12,23 +12,27 @@ provides the independent cross-check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .critline import DEFAULT_ACCURACY, EvalAccuracy, eval_grid, zeta_em, zeta_em_vec
+from .critline import TARGETS, TWO_PI, eval_grid, zeta_em, zeta_em_vec
+from .csvio import write_csv
 from .dirpoly import DirichletPoly, factorize, poly_eval_grid
 from .errors import CapacityError, DomainError, TruncationError
-
-TWO_PI = 2.0 * math.pi
+from .moments import _midpoint_grid, mean_zero_gap
 
 DEFAULT_PAIR_CAP = 100_000_000
 
-WEIGHTS = ("dzeta2", "zeta2dzeta2", "dZ2", "Z2dZ2")
-TARGETS = ("zeta", "hardyZ")
+# Direct-integral weights: name -> (power of Z^2 = |zeta|^2, derivative target).
+WEIGHTS = {
+    "dzeta2": (0, "zeta"),
+    "zeta2dzeta2": (1, "zeta"),
+    "dZ2": (0, "hardyZ"),
+    "Z2dZ2": (1, "hardyZ"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +394,7 @@ def contour_second_moment(
     uses (z1^2 - z2^2)^2 M0, both at exponent (z1 - z2)/2.
     """
     if target not in TARGETS:
-        raise DomainError(f"target must be one of {TARGETS}, got {target!r}")
+        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
     if cfg is None:
         cfg = ShiftConfig.for_height(T)
     _check_poly_length(a, T, 0.45)
@@ -406,7 +410,7 @@ def contour_second_moment(
     w = 0.5 * (z1[:, None] - z2[None, :])
     m0, m2 = _mellin_tables(w, T, phi)
     diff2 = (z1[:, None] - z2[None, :]) ** 2
-    if target == "zeta":
+    if TARGETS[target]:
         core = diff2 * (
             (z1[:, None] + z2[None, :]) ** 2 * m0
             - (0.5 * z1[:, None] * z2[None, :]) ** 2 * m2
@@ -442,7 +446,7 @@ def contour_fourth_moment(
     only the constant polynomial A = 1 (G = 1) is evaluable here.
     """
     if target not in TARGETS:
-        raise DomainError(f"target must be one of {TARGETS}, got {target!r}")
+        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
     if cfg is None:
         cfg = ShiftConfig.for_height(T, 32, fourth_moment_scale(T))
     _check_poly_length(a, T, 0.2)
@@ -508,7 +512,7 @@ def contour_fourth_moment(
                 * d34[ki, li]
             )
             e3 = p12f * s34 + p34 * s12f
-            if target == "zeta":
+            if TARGETS[target]:
                 # Derivative bracket (e4 L / 2)^2 - e3^2: differentiating the
                 # shifted pole factors gives (sum 1/z_m -+ L/2) twice, so the
                 # squared-log term carries the quarter.
@@ -532,32 +536,19 @@ def twisted_direct(
     T: float,
     weight: str = "dzeta2",
     phi: CutoffFn = CutoffFn(),
-    mesh: float | None = None,
-    acc: EvalAccuracy = DEFAULT_ACCURACY,
     workers: int = 1,
     points_per_gap: int = 20,
 ) -> float:
     """Direct midpoint quadrature of the weighted integrand times
     |A(1/2+it)|^2 phi(t/T) over the support of the cutoff."""
     if weight not in WEIGHTS:
-        raise DomainError(f"weight must be one of {WEIGHTS}, got {weight!r}")
-    lo = phi.support[0] * T
-    hi = phi.support[1] * T
-    if mesh is None:
-        mesh = TWO_PI / math.log(T / TWO_PI) / points_per_gap
-    panels = int(math.ceil((hi - lo) / mesh))
-    step = (hi - lo) / panels
-    ts = lo + (np.arange(panels) + 0.5) * step
-    grid = eval_grid(ts, acc, workers)
-    z2 = grid.Z**2
-    if weight == "dzeta2":
-        vals = grid.dzeta_abs2()
-    elif weight == "zeta2dzeta2":
-        vals = z2 * grid.dzeta_abs2()
-    elif weight == "dZ2":
-        vals = grid.Z_prime**2
-    else:
-        vals = z2 * grid.Z_prime**2
+        raise DomainError(f"weight must be one of {tuple(WEIGHTS)}, got {weight!r}")
+    z2_power, target = WEIGHTS[weight]
+    ts, step = _midpoint_grid(
+        phi.support[0] * T, phi.support[1] * T, mean_zero_gap(T) / points_per_gap
+    )
+    grid = eval_grid(ts, workers=workers)
+    vals = grid.zeta_abs2() ** z2_power * grid.dabs2(target)
     amps = np.abs(poly_eval_grid(a, ts)) ** 2
     return float(np.sum(vals * amps * phi(ts / T)) * step)
 
@@ -584,6 +575,24 @@ def _exponent_vectors(r: int, count: int) -> np.ndarray:
     return np.asarray(rows, dtype=np.int64)
 
 
+def _lcm_pair_sum(ps, vecs: np.ndarray, twist: float = 1.0) -> float:
+    """Sum of w(n) w(m) / [n, m] over pairs of rows of vecs, the exponent
+    vectors of n and m over the primes ps, with w(n) = twist^Omega(n) g(n)."""
+    logs = np.log(np.asarray(ps, dtype=float))
+    weights = np.array(
+        [
+            twist ** int(row.sum())
+            * math.prod(1.0 / math.factorial(int(e)) for e in row)
+            for row in vecs
+        ]
+    )
+    total = 0.0
+    for i in range(vecs.shape[0]):
+        lcm_log = (np.maximum(vecs[i][None, :], vecs) * logs[None, :]).sum(axis=1)
+        total += float(np.sum(weights[i] * weights * np.exp(-lcm_log)))
+    return total
+
+
 @dataclass(frozen=True)
 class RankinReport:
     primes: tuple[int, ...]
@@ -605,15 +614,7 @@ def rankin_bound_check(range_primes: list[int], r: int) -> RankinReport:
     if r < 0:
         raise DomainError("r must be nonnegative")
     vecs = _exponent_vectors(r, len(ps))
-    logs = np.log(np.asarray(ps, dtype=float))
-    gvals = np.array(
-        [math.prod(1.0 / math.factorial(int(e)) for e in row) for row in vecs]
-    )
-    total = 0.0
-    for i in range(vecs.shape[0]):
-        lcm_log = (np.maximum(vecs[i][None, :], vecs) * logs[None, :]).sum(axis=1)
-        total += float(np.sum(gvals[i] * gvals * np.exp(-lcm_log)))
-    total *= math.factorial(r) ** 2
+    total = _lcm_pair_sum(ps, vecs) * math.factorial(r) ** 2
     p_sum = float(np.sum(1.0 / np.asarray(ps, dtype=float)))
     log_bound = r * math.log(2.0) + math.lgamma(r + 1) + (
         r * math.log(p_sum) if r else 0.0
@@ -635,19 +636,7 @@ def twist_pair_sum_bruteforce(
     vecs = np.concatenate(
         [_exponent_vectors(r, len(ps)) for r in range(omega_cap + 1)], axis=0
     )
-    logs = np.log(np.asarray(ps, dtype=float))
-    weights = np.array(
-        [
-            twist ** int(row.sum())
-            * math.prod(1.0 / math.factorial(int(e)) for e in row)
-            for row in vecs
-        ]
-    )
-    total = 0.0
-    for i in range(vecs.shape[0]):
-        lcm_log = (np.maximum(vecs[i][None, :], vecs) * logs[None, :]).sum(axis=1)
-        total += float(np.sum(weights[i] * weights * np.exp(-lcm_log)))
-    return total
+    return _lcm_pair_sum(ps, vecs, twist)
 
 
 def twist_pair_sum_euler(
@@ -672,8 +661,4 @@ def twist_pair_sum_euler(
 def write_comparison_csv(rows: list[dict], path) -> None:
     """Columns: T, polynomial_id, method, weight, value, nodes, mesh, ratio."""
     fields = ["T", "polynomial_id", "method", "weight", "value", "nodes", "mesh", "ratio"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
+    write_csv(path, fields, [[row.get(k, "") for k in fields] for row in rows])

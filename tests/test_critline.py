@@ -24,6 +24,7 @@ from zetalab.errors import DomainError
 from zetalab.gridcache import read_grid, write_grid
 
 TWO_PI = 2.0 * math.pi
+FD_STEP = 1.0e-3
 
 
 def bisect(fn, lo, hi, tol=1e-11):
@@ -71,6 +72,16 @@ def test_theta_pair_matches_gamma_oracle():
         t = float(ts[i])
         assert theta[i] == pytest.approx(theta_gamma(t), abs=1e-9)
         assert theta_p[i] == pytest.approx(theta_gamma_prime(t), abs=1e-9)
+
+
+def test_theta_gamma_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    ts = np.array([0.0, 17.85, 1.0e3, 1.0e4, 1.0e5])
+    vec = theta_gamma(ts)
+    for i, t in enumerate(ts):
+        ref = float(mpmath.siegeltheta(float(t)))
+        assert abs(theta_gamma(float(t)) - ref) <= 1e-9
+        assert abs(vec[i] - ref) <= 1e-9
 
 
 def test_theta_regime_error():
@@ -194,7 +205,7 @@ def test_hardy_z_correction_terms_improve():
 def test_z_prime_against_finite_difference():
     # Five-point central difference as the derivative oracle.
     acc = EvalAccuracy()
-    h = acc.fd_step
+    h = FD_STEP
     for t in (500.0, 1234.5):
         _, zp = hardy_Z(t, acc)
         vals = [hardy_Z(t + m * h, acc)[0] for m in (-2, -1, 1, 2)]
@@ -205,7 +216,7 @@ def test_z_prime_against_finite_difference():
 def test_z_prime_fd_random_heights():
     rng = np.random.default_rng(3)
     acc = EvalAccuracy()
-    h = acc.fd_step
+    h = FD_STEP
     checked = 0
     for t in rng.uniform(200.0, 5000.0, 100):
         t = float(t)
@@ -321,5 +332,3 @@ def test_grid_cache_rejects_noise(tmp_path):
 def test_eval_accuracy_validation():
     with pytest.raises(DomainError):
         EvalAccuracy(rs_correction_terms=9)
-    with pytest.raises(DomainError):
-        EvalAccuracy(fd_step=0.0)

@@ -156,7 +156,7 @@ def test_prime_sum_examples():
     assert val == pytest.approx(0.578861, abs=1e-5)
     empty = custom_scheme(1.0e5, [E_SQUARED, 8.0, 14.0], table)
     assert prime_sum_at(empty, 2, complex(0.5, 4.0)) == 0.0
-    with pytest.raises(IndexError):
+    with pytest.raises(DomainError):
         prime_sum_at(scheme, 4, 1)
 
 
@@ -167,6 +167,12 @@ def test_prime_sum_complex_is_conjugate_symmetric():
     assert prime_sum_at(scheme, 2, s.conjugate()) == pytest.approx(
         prime_sum_at(scheme, 2, s).conjugate(), rel=1e-14
     )
+    ss = np.array([s, s.conjugate(), complex(0.5, 1.0e4), complex(0.75, -3.0)])
+    sums = prime_sum_at(scheme, 2, ss)
+    assert sums.shape == ss.shape
+    for i, si in enumerate(ss):
+        assert sums[i] == pytest.approx(prime_sum_at(scheme, 2, complex(si)), rel=1e-14)
+    assert sums[1] == pytest.approx(sums[0].conjugate(), rel=1e-14)
 
 
 def test_mertens_prediction_canonical_scheme():

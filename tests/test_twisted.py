@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetalab.critline import eval_grid
 from zetalab.dirpoly import DirichletPoly
 from zetalab.errors import CapacityError, DomainError, TruncationError
 from zetalab.moments import MomentRequest, joint_moment
@@ -338,6 +339,28 @@ def test_fourth_moment_nontrivial_poly_rejected():
 def test_direct_weight_validation():
     with pytest.raises(DomainError):
         twisted_direct(ONE, 1.0e4, "bogus", PHI)
+
+
+def test_direct_weights_match_independent_midpoint_sum():
+    # Each weight against a midpoint sum built here from eval_grid.
+    T = 1.0e3
+    lo, hi = 0.75 * T, 2.25 * T
+    panels = math.ceil((hi - lo) / (2.0 * math.pi / math.log(T / (2.0 * math.pi)) / 20))
+    step = (hi - lo) / panels
+    ts = lo + (np.arange(panels) + 0.5) * step
+    grid = eval_grid(ts)
+    z2, zp2, thp2 = grid.Z**2, grid.Z_prime**2, grid.theta_prime**2
+    expected = {
+        "dzeta2": zp2 + thp2 * z2,
+        "zeta2dzeta2": z2 * (zp2 + thp2 * z2),
+        "dZ2": zp2,
+        "Z2dZ2": z2 * zp2,
+    }
+    poly = DirichletPoly.from_coeffs({1: 1.0, 2: 1.0})
+    amps = np.abs(1.0 + 2.0**-0.5 * np.exp(-1j * ts * math.log(2.0))) ** 2
+    for weight, vals in expected.items():
+        ref = float(np.sum(vals * amps * PHI(ts / T)) * step)
+        assert twisted_direct(poly, T, weight, PHI) == pytest.approx(ref, rel=1e-12)
 
 
 def test_direct_plateau_domination():
