@@ -4,10 +4,13 @@ and combinatorial bound checks.
 
 The second-moment main term is a double contour integral over circles of
 radius 3/log T and 9/log T; the fourth-moment main term runs over four
-circles of radius 3^j/log T.  Both are evaluated by the periodic trapezoid
-rule, which is spectrally accurate while the integrand stays analytic in a
-neighborhood of the node torus.  Direct quadrature of the same integrals
-provides the independent cross-check.
+circles of radius radius_scale 3^j/log T.  Both are evaluated by the periodic
+trapezoid rule, which is spectrally accurate while the integrand stays
+analytic in a neighborhood of the node torus.  The Mellin factors and the
+fourth moment's denominator 1/zeta(2 + z1 + z2 - z3 - z4) come from short
+Taylor models rather than per-node quadrature and Euler-Maclaurin sums.
+Direct quadrature of the same integrals provides the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -25,6 +28,15 @@ from .errors import CapacityError, DomainError, TruncationError
 from .moments import _midpoint_grid, mean_zero_gap
 
 DEFAULT_PAIR_CAP = 100_000_000
+
+# Taylor models of the contour main terms: a series stops where its first
+# omitted term falls below MODEL_TAIL of the value it models.  The model of
+# (u + 1) zeta(2 + u) is sampled at CAUCHY_NODES points of |u| = CAUCHY_RADIUS
+# and must match Euler-Maclaurin to DENOM_RTOL on the contour torus.
+MODEL_TAIL = 1.0e-17
+CAUCHY_RADIUS = 5.0
+CAUCHY_NODES = 64
+DENOM_RTOL = 1.0e-12
 
 # Direct-integral weights: name -> (power of Z^2 = |zeta|^2, derivative target).
 WEIGHTS = {
@@ -342,22 +354,44 @@ def mellin_weight(w: complex, T: float, phi: CutoffFn = CutoffFn()) -> complex:
     return complex(T * np.exp(w * math.log(T / TWO_PI)) * val)
 
 
-def _mellin_tables(
-    wgrid: np.ndarray, T: float, phi: CutoffFn
+def _mellin_factors(
+    w_row: np.ndarray, w_col: np.ndarray, T: float, phi: CutoffFn
 ) -> tuple[np.ndarray, np.ndarray]:
-    """M0 and M2 = d^2/dw^2 M0 on an array of exponents w.
+    """M0 and M2 = d^2/dw^2 M0 at the exponents w = w_row[:, None] + w_col[None, :].
 
     M2 carries the squared log factor of the derivative weights:
-    M2(w) = integral of log(t/2pi)^2 (t/2pi)^w phi(t/T) dt.
+    M2(w) = integral of log(t/2pi)^2 (t/2pi)^w phi(t/T) dt.  On the rule of
+    mellin_weight both are T e^(w l0) g(w), l0 = log(T/2pi), with
+
+        g(w) = sum_q wq (1 or (l0 + lu_q)^2) e^(w_row lu_q) e^(w_col lu_q).
+
+    e^(w l0) splits exactly into row and column factors.  Expanding the two
+    exponentials of g in Taylor series makes g a bilinear form in the powers
+    w_row^j / j! and w_col^m / m! with the exact moments sum_q wq (..) lu_q^(j+m)
+    as its matrix.  The weights are positive, so each series stops once its
+    first omitted term, (R max|lu|)^K / K! with R = max|w|, falls below
+    MODEL_TAIL times e^(-R max|lu|), the least modulus of the exponential.
     """
-    u, wq, lu = _u_rule(phi)
+    _, wq, lu = _u_rule(phi)
     l0 = math.log(T / TWO_PI)
-    shape = wgrid.shape
-    wflat = wgrid.ravel()[:, None]
-    core = np.exp(wflat * (l0 + lu)[None, :])
-    m0 = T * (core * wq[None, :]).sum(axis=1)
-    m2 = T * (core * (wq * (l0 + lu) ** 2)[None, :]).sum(axis=1)
-    return m0.reshape(shape), m2.reshape(shape)
+    radius = max(float(np.max(np.abs(w_row))), float(np.max(np.abs(w_col))))
+    reach = radius * float(np.max(np.abs(lu)))
+    terms, bound = 1, 1.0
+    while bound > MODEL_TAIL * math.exp(-reach):
+        bound *= reach / terms
+        terms += 1
+    powers = lu[None, :] ** np.arange(terms)[:, None]
+
+    def taylor(w: np.ndarray) -> np.ndarray:
+        steps = np.ones((w.size, terms), dtype=complex)
+        steps[:, 1:] = w[:, None] / np.arange(1, terms)
+        return np.cumprod(steps, axis=1)
+
+    rows = (T * np.exp(w_row * l0))[:, None] * taylor(w_row)
+    cols = (np.exp(w_col * l0))[:, None] * taylor(w_col)
+    m0 = rows @ ((powers * wq) @ powers.T) @ cols.T
+    m2 = rows @ ((powers * (wq * (l0 + lu) ** 2)) @ powers.T) @ cols.T
+    return m0, m2
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +408,52 @@ def _check_poly_length(a: DirichletPoly, T: float, exponent: float) -> None:
         raise DomainError(
             f"polynomial length {a.length_bound} exceeds T^{exponent:g}"
         )
+
+
+@lru_cache(maxsize=1)
+def _zeta2_taylor() -> np.ndarray:
+    """Taylor coefficients at u = 0 of the entire function (u + 1) zeta(2 + u).
+
+    Cauchy integral by the trapezoid rule (FFT) on |u| = CAUCHY_RADIUS.  The
+    function is real on the real axis, so the coefficients are real.
+    """
+    u = _circle(CAUCHY_RADIUS, CAUCHY_NODES)
+    z, _, _ = zeta_em_vec(2.0 + u)
+    c = np.fft.fft((u + 1.0) * z) / CAUCHY_NODES
+    c = c.real / CAUCHY_RADIUS ** np.arange(CAUCHY_NODES)
+    c.flags.writeable = False
+    return c
+
+
+def _inv_zeta2(u: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """1 / zeta(2 + u) as (u + 1) over the Taylor model of (u + 1) zeta(2 + u),
+    summed by Horner's rule."""
+    acc = np.full(np.shape(u), coeffs[-1], dtype=complex)
+    for c in coeffs[-2::-1]:
+        acc *= u
+        acc += c
+    return (u + 1.0) / acc
+
+
+def _zeta2_model(rho: float, n: int) -> np.ndarray:
+    """The Taylor model of (u + 1) zeta(2 + u) truncated for |u| <= rho.
+
+    Terms go while |c_k| rho^k is at least MODEL_TAIL of the largest one.
+    The model is checked against zeta_em_vec at n points of |u| = rho, where
+    the torus of the four-fold contour reaches; TruncationError if it misses
+    DENOM_RTOL there.
+    """
+    c = _zeta2_taylor()
+    size = np.abs(c) * rho ** np.arange(c.size)
+    coeffs = c[: int(np.nonzero(size >= MODEL_TAIL * size.max())[0][-1]) + 1]
+    u = _circle(rho, n)
+    ref, _, _ = zeta_em_vec(2.0 + u)
+    err = float(np.max(np.abs(_inv_zeta2(u, coeffs) * ref - 1.0)))
+    if not err <= DENOM_RTOL:
+        raise TruncationError(
+            f"1/zeta(2+u) model misses zeta_em_vec by {err:.3g} relative at |u| = {rho:.3g}"
+        )
+    return coeffs
 
 
 def contour_second_moment(
@@ -400,15 +480,14 @@ def contour_second_moment(
     _check_poly_length(a, T, 0.45)
     n = cfg.nodes_per_circle
     r1, r2, _, _ = cfg.radii
+    # The radii differ by 6 radius_scale / log T > 0, so zeta(1 + z1 - z2)
+    # stays off its pole.
     z1 = _circle(r1, n)
     z2 = _circle(r2, n)
-    # Distinct radii keep zeta(1 + z1 - z2) away from its pole.
-    assert np.min(np.abs(z1[:, None] - z2[None, :])) >= (r2 - r1) * 0.999
 
     fgrid = _pair_sum_grid(a, z1, -z2)
     zgrid, _, _ = zeta_em_vec(1.0 + z1[:, None] - z2[None, :])
-    w = 0.5 * (z1[:, None] - z2[None, :])
-    m0, m2 = _mellin_tables(w, T, phi)
+    m0, m2 = _mellin_factors(0.5 * z1, -0.5 * z2, T, phi)
     diff2 = (z1[:, None] - z2[None, :]) ** 2
     if TARGETS[target]:
         core = diff2 * (
@@ -434,13 +513,22 @@ def contour_fourth_moment(
 ) -> float:
     """Main term of the twisted fourth-type moment (|zeta|^2 |zeta'|^2 weight).
 
-    Four-fold trapezoid contour over |z_j| = 3^j / log T of
+    Four-fold trapezoid contour over |z_j| = radius_scale 3^j / log T of
 
         A(z1,z2,-z3,-z4) G(z1,z2,-z3,-z4) Delta(z)^2 W(z) / prod z_m^6,
 
     where W is z1^2 z2^2 z3^2 z4^2 M2 - e3^2 M0 for the zeta target and
     -e3^2 M0 for the Hardy-Z target (e3 the third elementary symmetric
     function), at Mellin exponent (z1+z2-z3-z4)/2.
+
+    The n^4 values that depend on u = z1+z2-z3-z4 come from two Taylor models
+    in u instead of per-node evaluation.  The denominator 1/zeta(2+u) of A is
+    (u+1) over a model of the entire function (u+1) zeta(2+u), truncated for
+    the radius sum rho = |u|max < 4 and checked against Euler-Maclaurin at
+    the n torus points with |u| = rho.  The Mellin factors split into row
+    and column parts, (z1, z2) against (z3, z4), through exact exponentials
+    and short Taylor series (see _mellin_factors).  The sum runs in blocks
+    over the z3 nodes, so temporaries hold n^3 values.
 
     Desk-scale radii exceed the convergence region of the series factors, so
     only the constant polynomial A = 1 (G = 1) is evaluable here.
@@ -460,9 +548,10 @@ def contour_fourth_moment(
 
     n = cfg.nodes_per_circle
     r1, r2, r3, r4 = cfg.radii
-    if (r1 + r2 + r3 + r4) >= 4.0:
+    rho = r1 + r2 + r3 + r4
+    if rho >= 4.0:
         raise DomainError(
-            f"radius sum {r1 + r2 + r3 + r4:.3g} reaches the zeros of the"
+            f"radius sum {rho:.3g} reaches the zeros of the"
             " denominator zeta; shrink radius_scale (see fourth_moment_scale)"
         )
     z1, z2, z3, z4 = (_circle(r, n) for r in (r1, r2, r3, r4))
@@ -471,57 +560,33 @@ def contour_fourth_moment(
     znum14, _, _ = zeta_em_vec(1.0 + z1[:, None] - z4[None, :])
     znum23, _, _ = zeta_em_vec(1.0 + z2[:, None] - z3[None, :])
     znum24, _, _ = zeta_em_vec(1.0 + z2[:, None] - z4[None, :])
+    den = _zeta2_model(rho, n)
 
-    s12 = z1[:, None] + z2[None, :]
-    p12 = z1[:, None] * z2[None, :]
-    d12 = z2[None, :] - z1[:, None]
-    d13 = z3[None, :] - z1[:, None]
+    # Index (z1, z2) flattened to rows, z4 along columns; one z3 node a block.
+    s12 = (z1[:, None] + z2[None, :]).reshape(-1, 1)
+    p12 = (z1[:, None] * z2[None, :]).reshape(-1, 1)
+    w12 = ((z2[None, :] - z1[:, None]) ** 2 / np.outer(z1**5, z2**5)).reshape(-1, 1)
     d14 = z4[None, :] - z1[:, None]
-    d23 = z3[None, :] - z2[:, None]
     d24 = z4[None, :] - z2[:, None]
-    d34 = z4[None, :] - z3[:, None]
-    w1 = z1**-5
-    w2 = z2**-5
-    w3 = z3**-5
-    w4 = z4**-5
-
-    u, wq, lu = _u_rule(phi)
-    l0 = math.log(T / TWO_PI)
-    e12 = np.exp(0.5 * s12.ravel()[:, None] * (l0 + lu)[None, :])
-
     total = 0.0 + 0.0j
-    s12f = s12.ravel()
-    p12f = p12.ravel()
-    d12f = d12.ravel()
-    w12f = np.outer(w1, w2).ravel()
-    for ki in range(n):
-        s34_row = z3[ki] + z4  # (n,)
-        args = 2.0 + s12f[:, None] - s34_row[None, :]
-        zden, _, _ = zeta_em_vec(args)
-        e34 = np.exp(-0.5 * s34_row[:, None] * (l0 + lu)[None, :])
-        m0_blk = T * (e12 * wq[None, :]) @ e34.T
-        m2_blk = T * (e12 * (wq * (l0 + lu) ** 2)[None, :]) @ e34.T
-        for li in range(n):
-            s34 = s34_row[li]
-            p34 = z3[ki] * z4[li]
-            anum = np.outer(znum13[:, ki] * znum14[:, li], znum23[:, ki] * znum24[:, li])
-            afac = anum.ravel() / zden[:, li]
-            delta = (
-                d12f
-                * np.outer(d13[:, ki] * d14[:, li], d23[:, ki] * d24[:, li]).ravel()
-                * d34[ki, li]
-            )
-            e3 = p12f * s34 + p34 * s12f
-            if TARGETS[target]:
-                # Derivative bracket (e4 L / 2)^2 - e3^2: differentiating the
-                # shifted pole factors gives (sum 1/z_m -+ L/2) twice, so the
-                # squared-log term carries the quarter.
-                bracket = 0.25 * (p12f * p34) ** 2 * m2_blk[:, li] - e3**2 * m0_blk[:, li]
-            else:
-                bracket = -(e3**2) * m0_blk[:, li]
-            total += (
-                (afac * delta**2 * bracket * w12f).sum() * w3[ki] * w4[li]
-            )
+    for k in range(n):
+        s34 = z3[k] + z4
+        p34 = z3[k] * z4
+        u = s12 - s34
+        m0, m2 = _mellin_factors(0.5 * s12.ravel(), -0.5 * s34, T, phi)
+        a1 = znum13[:, k, None] * znum14 * ((z3[k] - z1)[:, None] * d14) ** 2
+        a2 = znum23[:, k, None] * znum24 * ((z3[k] - z2)[:, None] * d24) ** 2
+        w34 = (z4 - z3[k]) ** 2 / (z3[k] ** 5 * z4**5)
+        e3 = p12 * s34 + p34 * s12
+        if TARGETS[target]:
+            # Derivative bracket (e4 L / 2)^2 - e3^2: differentiating the
+            # shifted pole factors gives (sum 1/z_m -+ L/2) twice, so the
+            # squared-log term carries the quarter.
+            bracket = 0.25 * (p12 * p34) ** 2 * m2 - e3**2 * m0
+        else:
+            bracket = -(e3**2) * m0
+        pair = (a1[:, None, :] * a2[None, :, :]).reshape(n * n, n)
+        total += np.sum(w12 * pair * w34 * _inv_zeta2(u, den) * bracket)
     value = g_const * total / (4.0 * n**4)
     return float(value.real)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetalab.critline import eval_grid
+from zetalab import twisted
+from zetalab.critline import eval_grid, zeta_em_vec
 from zetalab.dirpoly import DirichletPoly
 from zetalab.errors import CapacityError, DomainError, TruncationError
 from zetalab.moments import MomentRequest, joint_moment
@@ -329,6 +330,105 @@ def test_fourth_moment_nontrivial_poly_rejected():
     poly = DirichletPoly.from_coeffs({1: 1.0, 2: 1.0})
     with pytest.raises(DomainError, match="A = 1"):
         contour_fourth_moment(poly, 1.0e4)
+
+
+# Values at T = 1e4 from the evaluators that summed Euler-Maclaurin at every
+# denominator node and the full Mellin quadrature at every exponent.  The
+# fourth moment's hardyZ sum cancels by about 1e7, so summation order alone
+# moves it by up to ~1e-11 relative.
+PINNED_SECOND = {
+    ("zeta", "one"): 2390714.0063517997,
+    ("zeta", "one_plus_2"): 5677203.030809037,
+    ("hardyZ", "one"): 716443.1571410864,
+    ("hardyZ", "one_plus_2"): 1621661.0442668414,
+}
+PINNED_FOURTH = {
+    (16, "zeta"): 143014299.07678285,
+    (16, "hardyZ"): 14239229.3978653,
+    (32, "zeta"): 143014343.66388825,
+    (32, "hardyZ"): 14239228.64888771,
+}
+POLYS = {"one": ONE, "one_plus_2": DirichletPoly.from_coeffs({1: 1.0, 2: 1.0})}
+
+
+@pytest.mark.parametrize("target, poly", sorted(PINNED_SECOND))
+def test_second_moment_contour_pinned(target, poly):
+    T = 1.0e4
+    value = contour_second_moment(POLYS[poly], T, ShiftConfig.for_height(T, 64), PHI, target)
+    assert value == pytest.approx(PINNED_SECOND[target, poly], rel=1e-13)
+
+
+@pytest.mark.parametrize("n, target", sorted(PINNED_FOURTH))
+def test_fourth_moment_contour_pinned(n, target):
+    T = 1.0e4
+    cfg = ShiftConfig.for_height(T, n, fourth_moment_scale(T))
+    value = contour_fourth_moment(ONE, T, cfg, PHI, target)
+    assert value == pytest.approx(PINNED_FOURTH[n, target], rel=1e-10)
+
+
+def test_inv_zeta2_model_against_euler_maclaurin():
+    rng = np.random.default_rng(2024)
+    rho = 3.9
+    u = rho * np.sqrt(rng.random(2000)) * np.exp(2j * np.pi * rng.random(2000))
+    ref, _, _ = zeta_em_vec(2.0 + u)
+    model = twisted._inv_zeta2(u, twisted._zeta2_model(rho, 64))
+    assert np.max(np.abs(model * ref - 1.0)) <= 1e-12
+    # The radius sum of the default four-circle torus at T = 1e5.
+    circle = 0.65 * np.exp(2j * np.pi * np.arange(256) / 256)
+    ref, _, _ = zeta_em_vec(2.0 + circle)
+    model = twisted._inv_zeta2(circle, twisted._zeta2_model(0.65, 64))
+    assert np.max(np.abs(model * ref - 1.0)) <= 1e-14
+
+
+def test_inv_zeta2_model_check_raises(monkeypatch):
+    monkeypatch.setattr(twisted, "DENOM_RTOL", 1e-20)
+    with pytest.raises(TruncationError, match="zeta_em_vec"):
+        contour_fourth_moment(ONE, 1.0e4, ShiftConfig.for_height(1.0e4, 16, 1 / 16), PHI)
+
+
+def test_mellin_factors_against_scalar_weight():
+    # 8 x 8 exponents w = w_row + w_col with |w| <= 1.  M0 against
+    # mellin_weight; M2 = M0'' by the Cauchy integral of mellin_weight on a
+    # circle of radius 1/4 about w (trapezoid rule, spectrally accurate).
+    T = 1.0e4
+    rng = np.random.default_rng(11)
+    w_row, w_col = (
+        0.5 * np.sqrt(rng.random(8)) * np.exp(2j * np.pi * rng.random(8)) for _ in range(2)
+    )
+    m0, m2 = twisted._mellin_factors(w_row, w_col, T, PHI)
+    nodes = 0.25 * np.exp(2j * np.pi * np.arange(32) / 32)
+    for i, a in enumerate(w_row):
+        for j, b in enumerate(w_col):
+            w = a + b
+            assert abs(w) <= 1.0
+            ref0 = mellin_weight(w, T, PHI)
+            ring = np.array([mellin_weight(w + h, T, PHI) for h in nodes])
+            ref2 = 2.0 * np.mean(ring / nodes**2)
+            assert abs(m0[i, j] / ref0 - 1.0) <= 1e-12
+            assert abs(m2[i, j] / ref2 - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_fourth_moment_em_work_count(monkeypatch, n):
+    # Euler-Maclaurin runs on the 4 n^2 numerator values and the n model
+    # check points, plus the 64 Cauchy samples when the model is first built;
+    # no longer on the n^4 denominators.
+    counted = []
+    real = twisted.zeta_em_vec
+
+    def counting(s):
+        counted.append(np.size(s))
+        return real(s)
+
+    monkeypatch.setattr(twisted, "zeta_em_vec", counting)
+    twisted._zeta2_taylor.cache_clear()
+    T = 1.0e4
+    cfg = ShiftConfig.for_height(T, n, fourth_moment_scale(T))
+    contour_fourth_moment(ONE, T, cfg, PHI)
+    assert sum(counted) <= 4 * n * n + n + 64
+    counted.clear()
+    contour_fourth_moment(ONE, T, cfg, PHI)
+    assert sum(counted) <= 4 * n * n + 64
 
 
 # ---------------------------------------------------------------------------
