@@ -45,26 +45,24 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
+def _apply_config_file(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None
+) -> argparse.Namespace:
+    """Parse argv again with the file's values as the subcommand's defaults,
+    so every flag given on the command line wins over the file."""
     overrides = _parse_config_file(args.config)
-    sub_action = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    actions = {a.dest: a for a in sub_action.choices[args.command]._actions}
-    for key, value in overrides.items():
-        action = actions.get(key)
-        if action is None or not hasattr(args, key):
+    for key in overrides:
+        # Only flags may be set; the other namespace entries are internal.
+        if key in ("command", "func", "default_out", "subparser") or not hasattr(args, key):
             raise ConfigError(f"unknown config key {key!r}")
-        # Flags win: only fill values the user left at their defaults.
-        if getattr(args, key) != action.default:
-            continue
-        convert = action.type if action.type is not None else str
-        try:
-            setattr(args, key, convert(value))
-        except ValueError as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from None
+    args.subparser.set_defaults(**overrides)
+    # argparse converts string defaults by the flag's type; a bad value
+    # raises instead of exiting, so it reports as a config error.
+    parser.exit_on_error = args.subparser.exit_on_error = False
+    try:
+        return parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ConfigError(f"config file {args.config}: {exc}") from None
 
 
 def _parse_boundaries(text: str) -> list[float]:
@@ -102,10 +100,13 @@ def _cmd_scheme(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.step is not None:
-        step = args.step
-    else:
+    if args.points_per_gap < 1:
+        raise ConfigError(f"--points-per-gap must be >= 1, got {args.points_per_gap}")
+    step = args.step
+    if step is None:
         step = moments.mean_zero_gap(args.t_max) / args.points_per_gap
+    elif not step > 0.0:
+        raise ConfigError(f"--step must be positive, got {step}")
     count = int(math.ceil((args.t_max - args.t_min) / step))
     ts = args.t_min + (np.arange(count) + 0.5) * step
     acc = critline.EvalAccuracy(rs_correction_terms=args.rs_terms)
@@ -133,6 +134,8 @@ def _cmd_inequality(args) -> int:
     cfg = inequality.InterpolationConfig(
         k=args.k, scheme=scheme, c_omega=args.c_omega, c_p=args.c_p, variant=args.variant
     )
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     rng = _rng(args.seed)
     ts = np.sort(rng.uniform(args.t_min, args.t_max, args.samples))
     report = inequality.check_interpolation(ts, cfg, args.target)
@@ -148,13 +151,13 @@ def _cmd_twisted(args) -> int:
     poly_id, poly = _load_poly(args.poly)
     phi = twisted.CutoffFn()
     rows: list[dict] = []
-    mesh = moments.mean_zero_gap(args.T) / args.points_per_gap
     direct_val = contour_val = None
     if args.method in ("direct", "both"):
         direct_val = twisted.twisted_direct(
             poly, args.T, args.weight, phi, workers=args.workers,
             points_per_gap=args.points_per_gap,
         )
+        mesh = moments.mean_zero_gap(args.T) / args.points_per_gap
         rows.append(
             dict(T=repr(args.T), polynomial_id=poly_id, method="direct",
                  weight=args.weight, value=repr(direct_val), nodes="", mesh=repr(mesh), ratio="")
@@ -335,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=1, help="Philox seed for any sampling")
         p.add_argument("--workers", type=int, default=1, help="worker threads")
         p.add_argument("--out", default=None, help="output CSV path")
+        p.set_defaults(subparser=p)
 
     p = sub.add_parser("scheme", help="build an increment scheme and export it")
     common(p)
@@ -398,10 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.out is None:
-        args.out = args.default_out
     try:
-        _apply_config_file(args, parser)
+        if args.config:
+            args = _apply_config_file(args, parser, argv)
+        if args.out is None:
+            args.out = args.default_out
         return args.func(args)
     except ConfigError as exc:
         print(f"error code={EXIT_CONFIG} kind=config msg={exc}", file=sys.stderr)

@@ -143,8 +143,6 @@ def build_increment_poly(
     An empty range yields the constant polynomial 1.
     """
     ps = [int(p) for p in scheme.prime_range(spec.j)]
-    if not ps:
-        return DirichletPoly.one()
     pj = scheme.variance(spec.j)
     max_omega = int(math.floor(spec.omega_cutoff * pj))
     # Predicted count: multisets of size <= max_omega from len(ps) primes.
@@ -216,8 +214,6 @@ def increment_series_eval(
     Taylor polynomial of exp at alpha P_j(1/2+it); K = floor(cutoff * P_j).
     """
     t = np.asarray(t, dtype=float)
-    if scheme.prime_range(j).size == 0:
-        return np.ones(t.shape, dtype=complex)
     k_max = int(math.floor(omega_cutoff * scheme.variance(j)))
     return _truncated_exp(alpha * prime_sum_at(scheme, j, 0.5 + 1j * t), k_max)
 

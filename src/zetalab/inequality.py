@@ -54,8 +54,6 @@ def penalty_exponent(cfg: InterpolationConfig, v: int) -> int:
     enough; otherwise the float value is nudged up before the ceiling.
     """
     chunk = cfg.scheme.prime_range(v)
-    if chunk.size == 0:
-        return 0
     if chunk.size <= _EXACT_CEIL_MAX_PRIMES:
         pv = sum(Fraction(1, int(p)) for p in chunk)
         return math.ceil(Fraction(cfg.c_p) * pv)
@@ -152,11 +150,6 @@ def check_interpolation(
 ) -> InterpolationReport:
     """Pointwise pass/fail over a grid; failures are data, not exceptions."""
     grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        empty = np.zeros(0)
-        return InterpolationReport(
-            empty, empty, empty, empty, np.zeros(0, dtype=bool), cfg.k, target, cfg.variant
-        )
     lhs, rhs = interpolation_sides_grid(grid, cfg, target)
     margin = rhs - lhs
     return InterpolationReport(grid, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)

@@ -51,10 +51,6 @@ class MomentRequest:
         if self.points_per_gap < 1:
             raise DomainError("points_per_gap must be >= 1")
 
-    @property
-    def mesh_nominal(self) -> float:
-        return mean_zero_gap(self.T) / self.points_per_gap
-
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -160,7 +156,7 @@ def scaling_report(
     for T in T_list:
         est = joint_moment(MomentRequest(T, k, h, target, points_per_gap), workers)
         values.append(est.value)
-        ratios.append(est.value / (T * math.log(T) ** expo))
+        ratios.append(conjectured_power_ratio(est))
     xs = np.log(np.log(np.asarray(T_list)))
     ys = np.log(np.asarray(values) / np.asarray(T_list))
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -47,7 +47,7 @@ def _simple_sieve(limit: int) -> np.ndarray:
 def sieve_primes(limit: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
     """Exact table of the primes <= limit.
 
-    Uses a flat sieve for small limits and a segmented sieve above
+    The primes up to isqrt(limit) sieve the rest in segments of
     SIEVE_SEGMENT; indices are 64-bit throughout.  Raises DomainError for
     limit < 2 and CapacityError above `cap`.
     """
@@ -56,18 +56,14 @@ def sieve_primes(limit: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds cap {cap}")
-    if limit <= SIEVE_SEGMENT:
-        return PrimeTable(limit, _simple_sieve(limit))
-
-    base = _simple_sieve(math.isqrt(limit))
-    # The flat sieve covers [2, SIEVE_SEGMENT]; segments resume after it.
-    chunks = [_simple_sieve(SIEVE_SEGMENT)]
-    low = SIEVE_SEGMENT + 1
+    root = math.isqrt(limit)
+    base = _simple_sieve(root)
+    chunks = [base]
+    low = root + 1
     while low <= limit:
         high = min(low + SIEVE_SEGMENT - 1, limit)
         flags = np.ones(high - low + 1, dtype=bool)
-        for p in base:
-            p = int(p)
+        for p in base.tolist():
             start = max(p * p, ((low + p - 1) // p) * p)
             if start > high:
                 continue
@@ -214,18 +210,15 @@ def custom_scheme(
 def prime_sum_at(scheme: IncrementScheme, j: int, s):
     """Sum of p^{-s} over the j-th prime range, ascending order.
 
-    An array of s gives the array of sums, as complex numbers.  Real scalar
-    s reuses the accumulation that produced the stored variances, so
+    An array of s gives the array of sums and a complex scalar s its sum,
+    as complex numbers, by one expression.  Real scalar s reuses the
+    accumulation that produced the stored variances, so
     prime_sum_at(scheme, j, 1) == scheme.variance(j) exactly.
     """
     chunk = scheme.prime_range(j).astype(float)
-    if np.ndim(s):
-        s = np.asarray(s, dtype=complex)
-        return np.exp(-s[..., None] * np.log(chunk)).sum(axis=-1)
-    if chunk.size == 0:
-        return 0.0 + 0.0j if (isinstance(s, complex) and s.imag != 0.0) else 0.0
-    if isinstance(s, complex) and s.imag != 0.0:
-        return complex(np.add.reduce(np.exp(-s * np.log(chunk))))
+    if np.ndim(s) or (isinstance(s, complex) and s.imag != 0.0):
+        sums = np.exp(-np.asarray(s, dtype=complex)[..., None] * np.log(chunk)).sum(axis=-1)
+        return sums if np.ndim(s) else complex(sums)
     return float(np.add.reduce(np.power(chunk, -float(s.real if isinstance(s, complex) else s))))
 
 

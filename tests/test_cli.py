@@ -99,6 +99,17 @@ def test_exit_codes(tmp_path):
     assert "kind=capacity" in capacity.stderr
     badflag = run_cli(["moments", "--T", "1e3", "--k", "1"], tmp_path)  # missing --h
     assert badflag.returncode == 2, badflag.stderr
+    for args in (
+        ["eval", "--t-min", "100", "--t-max", "101", "--step", "0"],
+        ["eval", "--t-min", "100", "--t-max", "101", "--points-per-gap", "0"],
+        ["inequality", "--samples", "-1"],
+    ):
+        bad = run_cli(args, tmp_path)
+        assert bad.returncode == 2, bad.stderr
+        assert "kind=config" in bad.stderr
+    no_mesh = run_cli(["twisted", "--T", "2e3", "--points-per-gap", "0"], tmp_path)
+    assert no_mesh.returncode == 3, no_mesh.stderr
+    assert "kind=regime" in no_mesh.stderr
 
 
 def test_config_file_flags_win(tmp_path):
@@ -121,6 +132,16 @@ def test_config_file_flags_win(tmp_path):
     )
     assert res2.returncode == 0, res2.stderr
     assert len(out.read_text().splitlines()) == 4  # flag beats the file
+    # A flag wins even where its value equals the default.
+    cfg.write_text("points_per_gap = 10\n")
+    args = ["eval", "--t-min", "1000", "--t-max", "1010", "--out", str(out)]
+    res3 = run_cli(args + ["--points-per-gap", "20", "--config", str(cfg)], tmp_path)
+    assert res3.returncode == 0, res3.stderr
+    flagged = out.read_text()
+    res4 = run_cli(args + ["--points-per-gap", "20"], tmp_path)
+    assert res4.returncode == 0, res4.stderr
+    assert out.read_text() == flagged
+    assert len(flagged.splitlines()) == 163  # 162 samples
 
 
 def test_config_file_errors(tmp_path):
@@ -136,6 +157,13 @@ def test_config_file_errors(tmp_path):
         ["eval", "--t-min", "100", "--t-max", "101", "--config", str(cfg)], tmp_path
     )
     assert res2.returncode == 2, res2.stderr
+    assert "kind=config" in res2.stderr
+    cfg.write_text("points_per_gap = many\n")
+    res3 = run_cli(
+        ["eval", "--t-min", "100", "--t-max", "101", "--config", str(cfg)], tmp_path
+    )
+    assert res3.returncode == 2, res3.stderr
+    assert "kind=config" in res3.stderr
 
 
 def test_main_callable_in_process(tmp_path):

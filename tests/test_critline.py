@@ -10,14 +10,13 @@ from zetalab.critline import (
     critical_sample,
     eval_grid,
     hardy_Z,
-    hardy_Z_error_estimate,
+    rs_error_estimate,
     theta_gamma,
     theta_gamma_prime,
     theta_pair,
     theta_pair_vec,
     z_oracle,
     zeta_em,
-    zeta_em_full,
     zeta_em_line,
 )
 from zetalab.errors import DomainError
@@ -146,6 +145,18 @@ def test_zeta_em_line_matches_scalar():
     assert est < 1e-10
 
 
+def test_zeta_em_line_across_chunks():
+    # 6000 ascending heights span three 2048-point chunks, each with its own
+    # Euler-Maclaurin cutoff; check both sides of every chunk edge.
+    ts = np.geomspace(100.0, 1.0e5, 6000)
+    zv, dzv, est = zeta_em_line(ts)
+    for i in (0, 2047, 2048, 4095, 4096, ts.size - 1):
+        z, dz = zeta_em(complex(0.5, ts[i]))
+        assert abs(zv[i] - z) < 1e-11
+        assert abs(dzv[i] - dz) < 1e-10
+    assert est < 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Hardy Z via Riemann-Siegel vs the oracle
 # ---------------------------------------------------------------------------
@@ -191,8 +202,28 @@ def test_hardy_z_error_estimate_honest():
         z_ref = (np.exp(1j * theta) * zeta_vals).real
         grid = eval_grid(ts, acc)
         errs = np.abs(grid.Z - z_ref)
-        caps = np.array([hardy_Z_error_estimate(float(t), acc) for t in ts])
+        caps = np.array([rs_error_estimate(float(t), acc.rs_correction_terms) for t in ts])
         assert np.all(errs <= caps)
+
+
+def test_rs_error_estimate_covers_mpmath_to_1e7():
+    # The roundoff of the float64 phases grows like t log t; the reported
+    # estimate must cover the true error over the whole advertised range.
+    mpmath = pytest.importorskip("mpmath")
+    for t in np.geomspace(60.0, 9.9e6, 40):
+        with mpmath.workdps(25):
+            ref = float(mpmath.siegelz(float(t)))
+        grid = eval_grid(np.array([t]))
+        assert abs(grid.Z[0] - ref) <= grid.est_abs_error, t
+        sample = critical_sample(float(t))
+        assert abs(sample.Z - ref) <= sample.est_abs_error, t
+
+
+def test_eval_grid_estimate_covers_both_ends():
+    ts = np.linspace(1.0e4, 1.0e7, 3)
+    grid = eval_grid(ts)
+    assert grid.est_abs_error == max(rs_error_estimate(float(t), 4) for t in ts[[0, -1]])
+    assert grid.est_abs_error >= max(rs_error_estimate(float(t), 4) for t in ts)
 
 
 def test_hardy_z_correction_terms_improve():

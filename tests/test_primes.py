@@ -59,6 +59,14 @@ def test_sieve_segmented_consistent():
     assert list(seg.primes[seg.primes > (1 << 22)]) == tail
 
 
+def test_sieve_every_small_limit():
+    # Every limit in 2..2000: the segment starts at isqrt(limit) + 1, right
+    # after the base primes, and may hold a single number.
+    oracle = np.array(trial_division_primes(2000))
+    for n in range(2, 2001):
+        assert np.array_equal(sieve_primes(n).primes, oracle[oracle <= n]), n
+
+
 def test_sieve_bounds():
     with pytest.raises(DomainError):
         sieve_primes(1)
