@@ -100,6 +100,8 @@ def _cmd_scheme(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if not args.t_max > args.t_min:
+        raise ConfigError(f"--t-max must exceed --t-min, got [{args.t_min}, {args.t_max}]")
     if args.points_per_gap < 1:
         raise ConfigError(f"--points-per-gap must be >= 1, got {args.points_per_gap}")
     step = args.step
@@ -148,6 +150,9 @@ def _cmd_inequality(args) -> int:
 
 
 def _cmd_twisted(args) -> int:
+    # The contour rule of twisted.ShiftConfig, checked as a flag value.
+    if args.nodes < 16 or args.nodes % 2:
+        raise ConfigError(f"--nodes must be even and >= 16, got {args.nodes}")
     poly_id, poly = _load_poly(args.poly)
     phi = twisted.CutoffFn()
     rows: list[dict] = []
@@ -405,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = _apply_config_file(args, parser, argv)
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if args.out is None:
             args.out = args.default_out
         return args.func(args)

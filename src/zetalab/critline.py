@@ -413,33 +413,53 @@ _C_RECIPES: tuple[tuple[tuple[float, int], ...], ...] = (
     ),
 )
 
+# Samples per correction model (Chebyshev points in y); the upper half of
+# each interpolant's coefficients shows its noise floor.
+_RS_MODEL_POINTS = 32
+
+
 @lru_cache(maxsize=1)
-def _rs_chebs() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Chebyshev models of C_0..C_4 and their p-derivatives on [0, 1]."""
+def _rs_models() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Chebyshev models of C_0..C_4 with their parity about p = 1/2 built in.
+
+    The cosine ratio is even about p = 1/2, so C_k, a combination of its
+    derivatives of the parity of k, is even (k even) or odd (k odd) in
+    x = 2p - 1.  With y = 2x^2 - 1 the model is C_k = x^(k mod 2) g_k(y),
+    and g_k is interpolated at Chebyshev points in y, that is on p in
+    (1/2, 1).  Each series is cut after its last coefficient above 8 times
+    its noise floor, the largest coefficient in the upper half of the
+    interpolant; a longer series only carries noise, which differentiation
+    amplifies (12-14 terms remain).  Returns (g_k, dg_k/dy) coefficients.
+    """
+    cheb = np.polynomial.chebyshev
     orders = tuple(sorted({o for recipe in _C_RECIPES for _, o in recipe}))
-    xs = np.polynomial.chebyshev.chebpts1(97)
-    ps = 0.5 * (xs + 1.0)
-    samples = np.zeros((len(_C_RECIPES), ps.size))
-    for i, p in enumerate(ps):
-        derivs = _psi_derivatives(float(p), orders)
-        for kk, recipe in enumerate(_C_RECIPES):
-            samples[kk, i] = sum(coef * derivs[order] for coef, order in recipe)
+    y = cheb.chebpts1(_RS_MODEL_POINTS)
+    x = np.sqrt(0.5 * (1.0 + y))
+    derivs = [_psi_derivatives(float(p), orders) for p in 0.5 * (1.0 + x)]
     models = []
-    for kk in range(len(_C_RECIPES)):
-        coefs = np.polynomial.chebyshev.chebfit(xs, samples[kk], 96)
-        coefs = np.polynomial.chebyshev.chebtrim(coefs, tol=1.0e-15)
-        models.append((coefs, np.polynomial.chebyshev.chebder(coefs)))
+    for kk, recipe in enumerate(_C_RECIPES):
+        samples = np.array([sum(coef * d[order] for coef, order in recipe) for d in derivs])
+        coefs = cheb.chebfit(y, samples / x ** (kk % 2), _RS_MODEL_POINTS - 1)
+        floor = np.max(np.abs(coefs[_RS_MODEL_POINTS // 2 :]))
+        coefs = coefs[: np.flatnonzero(np.abs(coefs) > 8.0 * floor)[-1] + 1]
+        models.append((coefs, cheb.chebder(coefs)))
     return tuple(models)
 
 
-def _rs_c(k: int, p: np.ndarray) -> np.ndarray:
-    coefs, _ = _rs_chebs()[k]
-    return np.polynomial.chebyshev.chebval(2.0 * p - 1.0, coefs)
-
-
-def _rs_c_prime(k: int, p: np.ndarray) -> np.ndarray:
-    _, dcoefs = _rs_chebs()[k]
-    return 2.0 * np.polynomial.chebyshev.chebval(2.0 * p - 1.0, dcoefs)
+def _rs_c(k: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C_k(p) and its p-derivative from the parity-folded model."""
+    cheb = np.polynomial.chebyshev
+    coefs, dcoefs = _rs_models()[k]
+    x = 2.0 * p - 1.0
+    y = 2.0 * x * x - 1.0
+    g = cheb.chebval(y, coefs)
+    dg = cheb.chebval(y, dcoefs)
+    dg *= 8.0 * x  # dy/dp = 8x
+    if k % 2:  # C_k = x g_k(y)
+        dg *= x
+        dg += 2.0 * g
+        g *= x
+    return g, dg
 
 
 def rs_error_estimate(t: float, rs_correction_terms: int) -> float:
@@ -470,49 +490,115 @@ def _hardy_point(t: float, acc: EvalAccuracy) -> tuple[float, float, float, floa
     return float(z[0]), float(zp[0]), float(theta[0]), float(theta_p[0])
 
 
+# Entries n^{-it} in one block of the main-sum table: small enough to keep
+# the table in cache and peak memory flat, large enough that each numpy call
+# does real work when eval_grid threads run side by side.
+_MAIN_SUM_BUDGET = 1 << 17
+
+
+@lru_cache(maxsize=1)
+def _main_sum_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(spf, omega, order) for n <= floor(sqrt(MAX_HEIGHT / 2 pi)).
+
+    spf[n] is the smallest prime factor of n, omega[n] the number of prime
+    factors of n counted with multiplicity, and order lists 1, 2, 3, ... by
+    (omega, n): 1, then the primes, then each composite after both spf(n)
+    and n / spf(n), which have fewer prime factors.
+    """
+    n_top = math.isqrt(int(MAX_HEIGHT / TWO_PI))
+    spf = np.zeros(n_top + 1, dtype=np.int64)
+    omega = np.zeros(n_top + 1, dtype=np.int64)
+    for n in range(2, n_top + 1):
+        if spf[n] == 0:
+            multiples = spf[n::n]
+            multiples[multiples == 0] = n
+        omega[n] = omega[n // spf[n]] + 1
+    order = np.lexsort((np.arange(n_top + 1), omega))[1:]  # drop n = 0
+    return spf, omega, order
+
+
+def _main_sum(
+    t: np.ndarray, theta: np.ndarray, theta_p: np.ndarray, n_floor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Main sum of Z and Z' over 1 <= n <= n_floor at each height t.
+
+    With S = sum 2 n^{-1/2} n^{-it} and S' = sum 2 n^{-1/2} log n n^{-it},
+    Z = Re(e^{i theta} S) and Z' = Re(e^{i theta}(i theta' S - i S')).
+    n^{-it} is completely multiplicative: a block of heights fills an
+    (n, height) table with one complex exp per prime n and one complex
+    multiply spf(n)^{-it} (n / spf(n))^{-it} per composite, zeroes the
+    entries with n > n_floor, and takes S and S' as two weight vectors times
+    the table.  The table rows follow (omega(n), n), so each omega level is
+    one slice built from earlier rows.  Block boundaries depend only on t.
+    """
+    spf, omega, order = _main_sum_tables()
+    z = np.empty_like(t)
+    zp = np.empty_like(t)
+    rows = max(1, _MAIN_SUM_BUDGET // int(n_floor.max(initial=1)))
+    for lo in range(0, t.size, rows):
+        block = slice(lo, lo + rows)
+        tb = t[block]
+        nb = n_floor[block].astype(np.int64)
+        n_max = int(nb.max())
+        ns = order[order <= n_max]
+        pos = np.empty(n_max + 1, dtype=np.int64)
+        pos[ns] = np.arange(ns.size)
+        level = np.searchsorted(omega[ns], np.arange(omega[ns[-1]] + 2))
+        log_n = np.log(ns.astype(float))
+        table = np.empty((ns.size, tb.size), dtype=complex)
+        table[0] = 1.0
+        primes = slice(level[1], level[2])
+        np.exp(np.multiply.outer(-1j * log_n[primes], tb), out=table[primes])
+        for lo_k, hi_k in zip(level[2:-1], level[3:]):
+            comp = ns[lo_k:hi_k]
+            f = spf[comp]
+            np.multiply(table[pos[f]], table[pos[comp // f]], out=table[lo_k:hi_k])
+        short = ns > nb.min()
+        table[short] *= ns[short, None] <= nb
+        w = 2.0 / np.sqrt(ns)
+        s, ds = (np.stack([w, w * log_n]) @ table.view(float)).view(complex)
+        rot = np.exp(1j * theta[block])
+        z[block] = (rot * s).real
+        zp[block] = -(rot * (theta_p[block] * s - ds)).imag
+    return z, zp
+
+
 def _hardy_grid(
     t: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURACY
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vector Riemann-Siegel evaluation on an ascending grid.
+    """Vector Riemann-Siegel evaluation: a uniform grid, sorted random heights
+    and a single point all take this one route.
 
-    Returns (Z, Z', theta, theta').  The main sum is accumulated prime
-    loop-order: for each n the contribution is added to the suffix of the
-    grid with t >= 2 pi n^2, which keeps every operation vectorized.
+    Returns (Z, Z', theta, theta').  The main sum comes from `_main_sum`,
+    which builds n^{-it} for a block of heights from one complex exp per
+    prime n and one complex multiply per composite, then reads Z and Z' off
+    Re(e^{i theta} S) and its derivative.  Its length N = floor(sqrt(t / 2 pi))
+    is taken per height, not per block: the correction terms are functions
+    of p = sqrt(t / 2 pi) - N, so the main sum must stop at the same N at
+    every height, also where a block straddles t = 2 pi n^2.
     """
     t = np.asarray(t, dtype=float)
     theta, theta_p = theta_pair_vec(t)
-    tau = t / TWO_PI
-    a = np.sqrt(tau)
-    nmax = int(np.floor(a[-1])) if t.size else 0
-    z = np.zeros_like(t)
-    zp = np.zeros_like(t)
-    for n in range(1, nmax + 1):
-        start = int(np.searchsorted(t, TWO_PI * n * n, side="left"))
-        if start >= t.size:
-            break
-        ln_n = math.log(n)
-        inv_sqrt = 1.0 / math.sqrt(n)
-        arg = theta[start:] - t[start:] * ln_n
-        z[start:] += 2.0 * inv_sqrt * np.cos(arg)
-        zp[start:] -= 2.0 * inv_sqrt * (theta_p[start:] - ln_n) * np.sin(arg)
-
-    k_terms = acc.rs_correction_terms
+    a = np.sqrt(t / TWO_PI)
     n_floor = np.floor(a)
+    z, zp = _main_sum(t, theta, theta_p, n_floor)
+
+    # Corrections (-1)^(N-1) tau^{-1/4} sum_k C_k(p) r^k with r = tau^{-1/2},
+    # by Horner in r; dp/dt = r / (4 pi) and dr/dt = -r^3 / (4 pi).
     p = a - n_floor
-    sign = np.where(np.mod(n_floor, 2.0) == 1.0, 1.0, -1.0)  # (-1)^(N-1)
-    tau_quarter = tau**-0.25
-    dtau = 1.0 / TWO_PI
-    dp = 1.0 / (4.0 * math.pi * a)
-    corr = np.zeros_like(t)
-    dcorr = np.zeros_like(t)
-    for k in range(k_terms + 1):
-        ck = _rs_c(k, p)
-        ckp = _rs_c_prime(k, p)
-        fac = tau ** (-0.5 * k)
-        corr += ck * fac
-        dcorr += (ckp * dp - 0.5 * k * ck * dtau / tau) * fac
-    z += sign * tau_quarter * corr
-    zp += sign * (tau_quarter * dcorr - 0.25 * tau_quarter / tau * dtau * corr)
+    r = 1.0 / a
+    corr = np.zeros_like(t)  # sum C_k r^k
+    corr_p = np.zeros_like(t)  # sum C_k' r^k
+    corr_k = np.zeros_like(t)  # sum k C_k r^k
+    for k in range(acc.rs_correction_terms, -1, -1):
+        ck, ckp = _rs_c(k, p)
+        for total, term in ((corr, ck), (corr_p, ckp), (corr_k, k * ck)):
+            total *= r
+            total += term
+    q = np.sqrt(r)  # tau^{-1/4}
+    q[np.mod(n_floor, 2.0) == 0.0] *= -1.0  # (-1)^(N-1)
+    z += q * corr
+    zp += q * r * (corr_p - r * (corr_k + 0.5 * corr)) / (4.0 * math.pi)
     return z, zp, theta, theta_p
 
 
@@ -586,7 +672,9 @@ def eval_grid(
         )
     if np.any(np.diff(t) < 0.0):
         raise DomainError("grid must be ascending")
-    _rs_chebs()  # build correction models once, outside the pool
+    # Build the correction models and factor tables once, outside the pool.
+    _rs_models()
+    _main_sum_tables()
     chunk = 1 << 18
     # An empty grid still makes one (empty) piece.
     pieces = [t[lo : lo + chunk] for lo in range(0, max(t.size, 1), chunk)]

@@ -102,7 +102,13 @@ def test_exit_codes(tmp_path):
     for args in (
         ["eval", "--t-min", "100", "--t-max", "101", "--step", "0"],
         ["eval", "--t-min", "100", "--t-max", "101", "--points-per-gap", "0"],
+        ["eval", "--t-min", "200", "--t-max", "100"],
+        ["eval", "--t-min", "100", "--t-max", "100"],
         ["inequality", "--samples", "-1"],
+        ["twisted", "--T", "2e3", "--method", "contour", "--nodes", "7"],
+        ["twisted", "--T", "2e3", "--method", "contour", "--nodes", "14"],
+        ["moments", "--T", "1e3", "--k", "1", "--h", "0", "--workers", "0"],
+        ["moments", "--T", "1e3", "--k", "1", "--h", "0", "--workers", "-3"],
     ):
         bad = run_cli(args, tmp_path)
         assert bad.returncode == 2, bad.stderr

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetalab.critline import (
+    RS_ROUNDOFF_COEF,
     EvalAccuracy,
+    _rs_c,
     count_sign_changes,
     critical_sample,
     eval_grid,
@@ -231,6 +233,103 @@ def test_hardy_z_correction_terms_improve():
     ref = z_oracle(t)
     errs = [abs(hardy_Z(t, EvalAccuracy(rs_correction_terms=k))[0] - ref) for k in (0, 2, 4)]
     assert errs[2] < errs[1] < errs[0]
+
+
+# C_k as sums of num / (den pi^pi_power) Psi^(order), Psi the cosine ratio
+# (Haselgrove's normalization), written out here independently of critline.
+_C_TERMS = (
+    ((1, 1, 0, 0),),
+    ((-1, 96, 2, 3),),
+    ((1, 64, 2, 2), (1, 18432, 4, 6)),
+    ((-1, 64, 2, 1), (-1, 3840, 4, 5), (-1, 5308416, 6, 9)),
+    ((1, 128, 2, 0), (19, 24576, 4, 4), (11, 5898240, 6, 8), (1, 2293235712, 8, 12)),
+)
+
+
+def test_rs_correction_models_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def psi(w):
+        return mpmath.cos(2 * mpmath.pi * (w * w - w - mpmath.mpf(1) / 16)) / mpmath.cos(
+            2 * mpmath.pi * w
+        )
+
+    ps = np.linspace(1.0e-4, 0.9999, 40)
+    ref = np.zeros((len(_C_TERMS), 2, ps.size))
+    with mpmath.workdps(30):
+        for i, p in enumerate(ps):
+            d = list(mpmath.diffs(psi, mpmath.mpf(float(p)), 13))
+            for k, terms in enumerate(_C_TERMS):
+                for j in (0, 1):  # C_k and C_k'
+                    ref[k, j, i] = float(
+                        sum(num * d[order + j] / (den * mpmath.pi**power)
+                            for num, den, power, order in terms)
+                    )
+    for k in range(len(_C_TERMS)):
+        ck, ckp = _rs_c(k, ps)
+        assert np.max(np.abs(ck - ref[k, 0])) <= 1e-12, k
+        assert np.max(np.abs(ckp - ref[k, 1])) <= 1e-12, k
+
+
+def _rs_reference(ts):
+    """Riemann-Siegel Z and Z' with the main sum taken term by term, one cos
+    and one sin per (height, n), and the corrections assembled from _rs_c."""
+    theta, theta_p = theta_pair_vec(ts)
+    tau = ts / TWO_PI
+    a = np.sqrt(tau)
+    n_row = np.floor(a)
+    z = np.zeros_like(ts)
+    zp = np.zeros_like(ts)
+    for n in range(1, int(n_row.max()) + 1):
+        keep = n <= n_row
+        arg = theta - ts * math.log(n)
+        z += np.where(keep, 2.0 / math.sqrt(n) * np.cos(arg), 0.0)
+        zp -= np.where(keep, 2.0 / math.sqrt(n) * (theta_p - math.log(n)) * np.sin(arg), 0.0)
+    p = a - n_row
+    corr = np.zeros_like(ts)
+    dcorr = np.zeros_like(ts)  # d/dt of sum_k C_k(p) tau^{-k/2}
+    for k in range(5):
+        ck, ckp = _rs_c(k, p)
+        corr += ck * tau ** (-0.5 * k)
+        dcorr += ckp / (4.0 * math.pi * a) * tau ** (-0.5 * k)
+        dcorr -= 0.5 * k * ck * tau ** (-0.5 * k - 1.0) / TWO_PI
+    sign = np.where(n_row % 2 == 1, 1.0, -1.0)
+    z += sign * tau**-0.25 * corr
+    zp += sign * (tau**-0.25 * dcorr - 0.25 * tau**-1.25 / TWO_PI * corr)
+    return z, zp, theta_p
+
+
+def _straddle(n):
+    edge = TWO_PI * n * n
+    return np.sort(np.concatenate([np.linspace(edge - 1.0, edge + 1.0, 2001), [edge]]))
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        # Longer than one 2^18-point worker chunk and many main-sum blocks.
+        1.0e4 + (np.arange((1 << 18) + 5000) + 0.5) * 0.005,
+        np.sort(np.random.default_rng(23).uniform(60.0, 1.0e6, 2000)),
+        np.array([50.0]),
+        np.array([123456.789]),
+        np.array([9.9e6]),
+        _straddle(40),
+        _straddle(400),
+    ],
+    ids=["uniform_1e4", "random", "point_50", "point_1e5", "point_1e7", "straddle_40", "straddle_400"],
+)
+def test_eval_grid_matches_per_term_reference(ts):
+    z_ref, zp_ref, theta_p = _rs_reference(ts)
+    bound = RS_ROUNDOFF_COEF * np.finfo(float).eps * ts * np.log(ts)
+    for workers in (1, 2):
+        grid = eval_grid(ts, workers=workers)
+        assert np.all(np.abs(grid.Z - z_ref) <= bound)
+        assert np.all(np.abs(grid.Z_prime - zp_ref) / theta_p <= bound)
+    # A height gives the same value alone as inside the grid.
+    for i in np.unique(np.linspace(0, ts.size - 1, 7).astype(int)):
+        alone = eval_grid(ts[i : i + 1])
+        assert abs(alone.Z[0] - grid.Z[i]) <= 1e-12, ts[i]
+        assert abs(alone.Z_prime[0] - grid.Z_prime[i]) <= 1e-12, ts[i]
 
 
 def test_z_prime_against_finite_difference():

@@ -1,4 +1,7 @@
 import csv
+import importlib.util
+import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +23,51 @@ def test_run_contour_compare(tmp_path):
     ratios = [float(row["ratio"]) for row in rows if row["method"] == "contour"]
     assert len(ratios) == 2
     assert all(0.5 <= r <= 2.0 for r in ratios), ratios
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _summary(wall, rss, failed=0):
+    return {"correct": failed == 0, "attempted": 10, "failed": failed,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                        "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+
+def test_bench_pairs_summary_from_canned_lines():
+    bench = _load_bench_pairs()
+    assert [bench.pair_order(i) for i in range(3)] == [
+        ("base", "change"), ("change", "base"), ("base", "change")]
+    walls = {"base": [10.0, 11.0, 12.0, 10.5, 13.0], "change": [6.0, 6.5, 12.5, 5.5, 7.0]}
+    runs = [
+        {"workload": "dense", "pair": i, "seed": 11 + i, "side": side,
+         "summary": _summary(walls[side][i], 100.0 + (side == "change"), failed=i == 4)}
+        for i in range(5) for side in bench.pair_order(i)
+    ]
+    # An unpaired run is kept in the record but left out of the figures.
+    runs.append({"workload": "dense", "pair": 5, "seed": 16, "side": "base",
+                 "summary": _summary(1.0, 1.0)})
+    better = {"wall_s": "lower", "peak_rss_mb": "lower"}
+    doc = bench.assemble("t", {"base": {"rev": "a"}, "change": {"rev": "b"}},
+                         {"cpu": "x"}, runs, better)
+    assert json.loads(json.dumps(doc)) == doc
+    assert doc["runs"] == runs
+    fig = doc["summary"]["dense"]
+    assert fig["pairs"] == 5
+    assert fig["failed"] == {"base": 1, "change": 1}
+    assert fig["attempted"] == {"base": 50, "change": 50}
+    wall = fig["wall_s"]
+    assert wall["base_median"] == 11.0
+    assert wall["change_median"] == 6.5
+    assert wall["change_over_base"] == 6.5 / 11.0
+    assert (wall["change_wins"], wall["change_losses"]) == (4, 1)
+    assert wall["base_quartiles"] == statistics.quantiles(walls["base"], n=4)
+    rss = fig["peak_rss_mb"]
+    assert (rss["change_wins"], rss["change_losses"]) == (0, 5)
+    # For a metric where higher is better the win count flips.
+    flipped = bench.summarize(runs, {"wall_s": "higher"})["dense"]["wall_s"]
+    assert (flipped["change_wins"], flipped["change_losses"]) == (1, 4)
