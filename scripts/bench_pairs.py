@@ -5,10 +5,11 @@
 
 Each commit is exported with `git archive` into its own clean directory
 under `.bench_build/`, so only committed files run, each side with its own
-copy of perfbench.  For every workload the script runs `--pairs` pairs of
-`perfbench/run.py --trace 0`; pair i uses seed `--seed` + i on both sides
-and runs the base first when i is even, the change first when i is odd.
-The run length is BENCHMARK.json's `run_seconds`.
+copy of perfbench.  For every workload of BENCHMARK.json the script runs
+PAIRS pairs of `perfbench/run.py --trace 0`; pair i uses seed FIRST_SEED + i
+on both sides and runs the base first when i is even, the change first when
+i is odd.  Ten pairs are the fewest from which a gain may be claimed.  The
+run length is BENCHMARK.json's `run_seconds`.
 
 The JSON file holds the environment, every summary line with its workload,
 pair, seed and side, and per workload and end-to-end metric the median and
@@ -31,6 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 BUILD = ROOT / ".bench_build"
 SIDES = ("base", "change")
+PAIRS = 10
+FIRST_SEED = 11
 
 
 def _git(*args: str) -> str:
@@ -129,28 +132,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
-def assemble(tag: str, revs: dict[str, dict], env: dict, runs: list[dict], better: dict[str, str]) -> dict:
-    return {
-        "tag": tag,
-        "revs": revs,
-        "env": env,
-        "runs": runs,
-        "summary": summarize(runs, better),
-    }
-
-
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="git revision of the parent")
     ap.add_argument("--change", required=True, help="git revision of the change")
     ap.add_argument("--tag", required=True, help="names the output BENCH_<tag>.json")
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=11, help="seed of pair 0")
-    ap.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
     args = ap.parse_args()
-    if args.pairs < 1:
-        ap.error("--pairs must be >= 1")
 
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     revs = {side: {"rev": rev, "sha": _git("rev-parse", rev)}
@@ -159,9 +147,9 @@ def main() -> int:
     env: dict = {"cpu": _cpu_model(), "run_seconds": spec["run_seconds"]}
     try:
         checkouts = {side: export(revs[side]["sha"]) for side in SIDES}
-        for workload in args.workloads.split(","):
-            for pair in range(args.pairs):
-                seed = args.seed + pair
+        for workload in (w["name"] for w in spec["workloads"]):
+            for pair in range(PAIRS):
+                seed = FIRST_SEED + pair
                 for side in pair_order(pair):
                     report, summary = run_once(checkouts[side], workload, seed, spec["run_seconds"])
                     env.setdefault("perfbench", report["env"])
@@ -176,10 +164,11 @@ def main() -> int:
         if BUILD.is_dir() and not any(BUILD.iterdir()):
             BUILD.rmdir()
 
-    doc = assemble(args.tag, revs, env, runs, better)
+    summary = summarize(runs, better)
+    doc = {"tag": args.tag, "revs": revs, "env": env, "runs": runs, "summary": summary}
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    for workload, fig in doc["summary"].items():
+    for workload, fig in summary.items():
         for metric in better:
             m = fig[metric]
             print(f"{workload:10s} {metric:12s} base {m['base_median']:.5g} "

@@ -150,9 +150,15 @@ def _cmd_inequality(args) -> int:
 
 
 def _cmd_twisted(args) -> int:
-    # The contour rule of twisted.ShiftConfig, checked as a flag value.
-    if args.nodes < 16 or args.nodes % 2:
-        raise ConfigError(f"--nodes must be even and >= 16, got {args.nodes}")
+    z2_power, target = twisted.WEIGHTS[args.weight]
+    cfg = None
+    if args.method in ("contour", "both"):
+        # ShiftConfig owns the rules on --T and --nodes; a bad flag is a config error.
+        scale = 1.0 if z2_power == 0 else twisted.fourth_moment_scale(args.T)
+        try:
+            cfg = twisted.ShiftConfig.for_height(args.T, args.nodes, scale)
+        except DomainError as exc:
+            raise ConfigError(f"--T {args.T} --nodes {args.nodes}: {exc}") from None
     poly_id, poly = _load_poly(args.poly)
     phi = twisted.CutoffFn()
     rows: list[dict] = []
@@ -167,16 +173,11 @@ def _cmd_twisted(args) -> int:
             dict(T=repr(args.T), polynomial_id=poly_id, method="direct",
                  weight=args.weight, value=repr(direct_val), nodes="", mesh=repr(mesh), ratio="")
         )
-    if args.method in ("contour", "both"):
-        z2_power, target = twisted.WEIGHTS[args.weight]
+    if cfg is not None:
         if z2_power == 0:
-            cfg2 = twisted.ShiftConfig.for_height(args.T, args.nodes)
-            contour_val = twisted.contour_second_moment(poly, args.T, cfg2, phi, target)
+            contour_val = twisted.contour_second_moment(poly, args.T, cfg, phi, target)
         else:
-            cfg4 = twisted.ShiftConfig.for_height(
-                args.T, args.nodes, twisted.fourth_moment_scale(args.T)
-            )
-            contour_val = twisted.contour_fourth_moment(poly, args.T, cfg4, phi, target)
+            contour_val = twisted.contour_fourth_moment(poly, args.T, cfg, phi, target)
         ratio = repr(direct_val / contour_val) if direct_val is not None else ""
         rows.append(
             dict(T=repr(args.T), polynomial_id=poly_id, method="contour",

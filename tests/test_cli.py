@@ -113,6 +113,10 @@ def test_exit_codes(tmp_path):
         bad = run_cli(args, tmp_path)
         assert bad.returncode == 2, bad.stderr
         assert "kind=config" in bad.stderr
+    # --nodes is read only by the contour method.
+    direct = run_cli(["twisted", "--T", "2e3", "--method", "direct", "--nodes", "8",
+                      "--out", str(tmp_path / "tw.csv")], tmp_path)
+    assert direct.returncode == 0, direct.stderr
     no_mesh = run_cli(["twisted", "--T", "2e3", "--points-per-gap", "0"], tmp_path)
     assert no_mesh.returncode == 3, no_mesh.stderr
     assert "kind=regime" in no_mesh.stderr

@@ -52,11 +52,9 @@ def test_bench_pairs_summary_from_canned_lines():
     runs.append({"workload": "dense", "pair": 5, "seed": 16, "side": "base",
                  "summary": _summary(1.0, 1.0)})
     better = {"wall_s": "lower", "peak_rss_mb": "lower"}
-    doc = bench.assemble("t", {"base": {"rev": "a"}, "change": {"rev": "b"}},
-                         {"cpu": "x"}, runs, better)
-    assert json.loads(json.dumps(doc)) == doc
-    assert doc["runs"] == runs
-    fig = doc["summary"]["dense"]
+    summary = bench.summarize(runs, better)
+    assert json.loads(json.dumps(summary)) == summary
+    fig = summary["dense"]
     assert fig["pairs"] == 5
     assert fig["failed"] == {"base": 1, "change": 1}
     assert fig["attempted"] == {"base": 50, "change": 50}
