@@ -111,8 +111,7 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--step must be positive, got {step}")
     count = int(math.ceil((args.t_max - args.t_min) / step))
     ts = args.t_min + (np.arange(count) + 0.5) * step
-    acc = critline.EvalAccuracy(rs_correction_terms=args.rs_terms)
-    grid = critline.eval_grid(ts, acc, workers=args.workers)
+    grid = critline.eval_grid(ts, workers=args.workers)
     columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
     rows = zip(*(c.tolist() for c in columns))
     write_csv(args.out, ["t", "Z", "Z_prime", "theta", "theta_prime"], rows)
@@ -153,9 +152,10 @@ def _cmd_twisted(args) -> int:
     z2_power, target = twisted.WEIGHTS[args.weight]
     cfg = None
     if args.method in ("contour", "both"):
-        # ShiftConfig owns the rules on --T and --nodes; a bad flag is a config error.
-        scale = 1.0 if z2_power == 0 else twisted.fourth_moment_scale(args.T)
+        # ShiftConfig and fourth_moment_scale own the rules on --T and
+        # --nodes; a bad flag is a config error.
         try:
+            scale = 1.0 if z2_power == 0 else twisted.fourth_moment_scale(args.T)
             cfg = twisted.ShiftConfig.for_height(args.T, args.nodes, scale)
         except DomainError as exc:
             raise ConfigError(f"--T {args.T} --nodes {args.nodes}: {exc}") from None
@@ -360,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--points-per-gap", type=int, default=20)
-    p.add_argument("--rs-terms", type=int, default=4)
     p.add_argument("--cache", default=None, help="also write a binary grid cache")
     p.set_defaults(func=_cmd_eval, default_out="grid.csv")
 

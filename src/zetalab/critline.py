@@ -1,7 +1,7 @@
 """Critical-line evaluation: theta, Hardy Z, and an Euler-Maclaurin oracle.
 
 Two independent routes are maintained on purpose.  The fast path is the
-Riemann-Siegel main sum with up to four correction terms built from the
+Riemann-Siegel main sum with four correction terms built from the
 cosine-ratio function Psi; the oracle path is Euler-Maclaurin summation of
 zeta and a Stirling evaluation of the Gamma phase, valid down to t = 0.
 Every production quantity can therefore be cross-checked against an
@@ -34,19 +34,17 @@ ORACLE_MIN_T = 10.0
 MAX_HEIGHT = 1.0e7
 EM_MAX_IM = 1.0e5
 
-# Empirical caps on the Riemann-Siegel remainder after K correction terms,
-# multiplying (t/2pi)^{-(2K+3)/4}; calibrated against the Euler-Maclaurin
-# path on [50, 2000] with >2x headroom.  The K = 3, 4 caps are inflated by
-# the slow convergence near integer sqrt(t/2pi), where the length of the
-# main sum jumps.
-RS_ERR_COEF = (0.07, 0.012, 1.0e-3, 1.1e-3, 8.5e-3)
+# Empirical cap on the Riemann-Siegel remainder after the four correction
+# terms, multiplying (t/2pi)^{-11/4}; calibrated against the Euler-Maclaurin
+# path on [50, 2000] with >2x headroom.  The cap is inflated by the slow
+# convergence near integer sqrt(t/2pi), where the length of the main sum
+# jumps.
+RS_ERR_COEF = 8.5e-3
 
 # Roundoff floor of the Riemann-Siegel value in units of eps t log t, the size
 # of the float64 phases theta(t) - t log n.  Against mpmath.siegelz at 1000
 # heights in [60, 9.9e6] the error above the remainder cap reached 5.5 units.
 RS_ROUNDOFF_COEF = 20.0
-
-MAX_RS_TERMS = 4
 
 # Bernoulli terms M of the Euler-Maclaurin tail; the cutoff N follows s.
 EM_BERNOULLI_TERMS = 30
@@ -71,29 +69,8 @@ def _bernoulli(n_max: int) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Accuracy knobs and sample container
+# Sample container
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvalAccuracy:
-    """Evaluation controls of the Riemann-Siegel path.
-
-    rs_correction_terms counts Riemann-Siegel correction terms beyond the
-    main sum (0..4; the value 4 is needed to reach 1e-6 agreement with the
-    oracle near t = 100).
-    """
-
-    rs_correction_terms: int = 4
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.rs_correction_terms <= MAX_RS_TERMS:
-            raise DomainError(
-                f"rs_correction_terms must lie in [0, {MAX_RS_TERMS}], got {self.rs_correction_terms}"
-            )
-
-
-DEFAULT_ACCURACY = EvalAccuracy()
 
 
 @dataclass(frozen=True)
@@ -462,32 +439,15 @@ def _rs_c(k: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, dg
 
 
-def rs_error_estimate(t: float, rs_correction_terms: int) -> float:
+def rs_error_estimate(t: float) -> float:
     """Calibrated absolute-error cap for the Riemann-Siegel value of Z."""
-    tau = t / TWO_PI
-    k = rs_correction_terms
     roundoff = RS_ROUNDOFF_COEF * sys.float_info.epsilon * t * math.log(t)
-    return RS_ERR_COEF[k] * tau ** (-(2 * k + 3) / 4.0) + roundoff
+    return RS_ERR_COEF * (t / TWO_PI) ** (-11.0 / 4.0) + roundoff
 
 
 # ---------------------------------------------------------------------------
-# Hardy Z: scalar and grid paths
+# Hardy Z: one route for grids and points
 # ---------------------------------------------------------------------------
-
-
-def hardy_Z(t: float, acc: EvalAccuracy = DEFAULT_ACCURACY) -> tuple[float, float]:
-    """Z(t) and Z'(t) by the Riemann-Siegel formula; regime t >= 50."""
-    return _hardy_point(t, acc)[:2]
-
-
-def _hardy_point(t: float, acc: EvalAccuracy) -> tuple[float, float, float, float]:
-    """(Z, Z', theta, theta') at one height by the Riemann-Siegel formula."""
-    if t < RS_MIN_T:
-        raise DomainError(f"Riemann-Siegel path needs t >= {RS_MIN_T}; use the oracle below")
-    if t > MAX_HEIGHT:
-        raise DomainError(f"height capped at {MAX_HEIGHT:g} to keep the main sum desk-scale")
-    z, zp, theta, theta_p = _hardy_grid(np.array([t]), acc)
-    return float(z[0]), float(zp[0]), float(theta[0]), float(theta_p[0])
 
 
 # Entries n^{-it} in one block of the main-sum table: small enough to keep
@@ -563,9 +523,7 @@ def _main_sum(
     return z, zp
 
 
-def _hardy_grid(
-    t: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURACY
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _hardy_grid(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vector Riemann-Siegel evaluation: a uniform grid, sorted random heights
     and a single point all take this one route.
 
@@ -590,7 +548,7 @@ def _hardy_grid(
     corr = np.zeros_like(t)  # sum C_k r^k
     corr_p = np.zeros_like(t)  # sum C_k' r^k
     corr_k = np.zeros_like(t)  # sum k C_k r^k
-    for k in range(acc.rs_correction_terms, -1, -1):
+    for k in range(len(_C_RECIPES) - 1, -1, -1):
         ck, ckp = _rs_c(k, p)
         for total, term in ((corr, ck), (corr_p, ckp), (corr_k, k * ck)):
             total *= r
@@ -607,22 +565,23 @@ def _hardy_grid(
 # ---------------------------------------------------------------------------
 
 
-def critical_sample(
-    t: float, acc: EvalAccuracy = DEFAULT_ACCURACY
-) -> CriticalPointSample:
+def critical_sample(t: float) -> CriticalPointSample:
     """All critical-line quantities at height t.
 
-    Fast path (t >= 50): Riemann-Siegel Z with zeta reconstructed through the
-    exact rotation zeta = e^{-i theta} Z and zeta' = e^{-i theta}(-i Z' - theta' Z).
+    Fast path (50 <= t <= 1e7): Riemann-Siegel Z with zeta reconstructed
+    through the exact rotation zeta = e^{-i theta} Z and
+    zeta' = e^{-i theta}(-i Z' - theta' Z).
     Oracle path (10 <= t < 50): Euler-Maclaurin zeta with Z reconstructed the
     other way around.
     """
+    if t > MAX_HEIGHT:
+        raise DomainError(f"height capped at {MAX_HEIGHT:g} to keep the main sum desk-scale")
     if t >= RS_MIN_T:
-        z, zp, theta, theta_p = _hardy_point(t, acc)
+        z, zp, theta, theta_p = (float(x[0]) for x in _hardy_grid(np.array([t])))
         rot = np.exp(-1j * theta)
         zeta = rot * z
         zeta_p = rot * (-1j * zp - theta_p * z)
-        est = rs_error_estimate(t, acc.rs_correction_terms)
+        est = rs_error_estimate(t)
         return CriticalPointSample(t, theta, theta_p, z, zp, complex(zeta), complex(zeta_p), est)
     if t >= ORACLE_MIN_T:
         theta, theta_p = theta_pair(t)
@@ -650,19 +609,17 @@ class GridData:
     def zeta_abs2(self) -> np.ndarray:
         return self.Z * self.Z
 
-    def dzeta_abs2(self) -> np.ndarray:
-        return self.Z_prime**2 + self.theta_prime**2 * self.Z**2
-
     def dabs2(self, target: str) -> np.ndarray:
-        """Derivative square of the target: |zeta'|^2 for "zeta", Z'^2 for "hardyZ"."""
+        """Derivative square of the target: |zeta'|^2 = Z'^2 + theta'^2 Z^2 for
+        "zeta", Z'^2 for "hardyZ"."""
         if target not in TARGETS:
             raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
-        return self.dzeta_abs2() if TARGETS[target] else self.Z_prime**2
+        if TARGETS[target]:
+            return self.Z_prime**2 + self.theta_prime**2 * self.Z**2
+        return self.Z_prime**2
 
 
-def eval_grid(
-    t: np.ndarray, acc: EvalAccuracy = DEFAULT_ACCURACY, workers: int = 1
-) -> GridData:
+def eval_grid(t: np.ndarray, workers: int = 1) -> GridData:
     """Riemann-Siegel evaluation over an ascending grid, chunked and optionally
     threaded; results are independent of the worker count."""
     t = np.asarray(t, dtype=float)
@@ -680,13 +637,13 @@ def eval_grid(
     pieces = [t[lo : lo + chunk] for lo in range(0, max(t.size, 1), chunk)]
     if workers > 1 and len(pieces) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda tt: _hardy_grid(tt, acc), pieces))
+            results = list(pool.map(_hardy_grid, pieces))
     else:
-        results = [_hardy_grid(tt, acc) for tt in pieces]
+        results = list(map(_hardy_grid, pieces))
     z, zp, th, thp = (np.concatenate(parts) for parts in zip(*results))
     # The cap is convex in t, so its largest value on the grid is at an end.
     ends = (float(t[0]), float(t[-1])) if t.size else ()
-    est = max((rs_error_estimate(x, acc.rs_correction_terms) for x in ends), default=0.0)
+    est = max((rs_error_estimate(x) for x in ends), default=0.0)
     return GridData(t, z, zp, th, thp, est)
 
 

@@ -95,14 +95,6 @@ def big_omega(n: int) -> int:
     return sum(factorize(n).values())
 
 
-def factorial_weight(n: int) -> float:
-    """Multiplicative weight equal to 1/m! on each prime power p^m; 1 at n = 1."""
-    w = 1.0
-    for exp in factorize(n).values():
-        w /= math.factorial(exp)
-    return w
-
-
 def _enumerate_coeffs(
     primes: list[int], alpha: complex, max_omega: int, cap: int
 ) -> dict[int, complex]:

@@ -98,19 +98,30 @@ def _integrand(grid: GridData, req: MomentRequest) -> tuple[np.ndarray, bool]:
 def joint_moment_on_grids(
     req: MomentRequest, grid: GridData, grid_half: GridData
 ) -> MomentEstimate:
+    """Midpoint value on grid, with 2 |I_h - I_{h/2}| / I_{h/2} as its
+    relative error estimate.
+
+    The midpoint error of a smooth integrand is c h^2, so the mesh-halving
+    difference is only 3/4 of the error of I_h; twice the difference bounds
+    the error of any rule whose error at least halves with the mesh.  When
+    e1 = 2k - 2h is not an even integer, |Z|^e1 has a cusp at each zero and
+    the error need not shrink that fast: at T = 1e3 and 20 points per gap,
+    (k, h) = (1.5, 0.75) reports 0.31 of its true error (0.16 before the
+    doubling).
+    """
     vals, capped = _integrand(grid, req)
     vals_half, _ = _integrand(grid_half, req)
     panels = grid.t.size
     mesh = req.T / panels
     value = float(np.sum(vals) * mesh)
     value_half = float(np.sum(vals_half) * (req.T / grid_half.t.size))
-    est = abs(value - value_half) / value_half if value_half > 0.0 else 0.0
+    est = 2.0 * abs(value - value_half) / value_half if value_half > 0.0 else 0.0
     return MomentEstimate(value, mesh, panels, est, req, capped)
 
 
 def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
     """Composite midpoint value of the joint moment with a mesh-halving
-    relative error estimate."""
+    relative error estimate (see joint_moment_on_grids)."""
     grid, grid_half = moment_grids(req.T, req.points_per_gap, workers)
     return joint_moment_on_grids(req, grid, grid_half)
 

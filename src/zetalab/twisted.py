@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critline import TARGETS, TWO_PI, eval_grid, zeta_em, zeta_em_vec
+from .critline import TARGETS, TWO_PI, eval_grid, zeta_em_vec
 from .csvio import write_csv
 from .dirpoly import DirichletPoly, factorize, poly_eval_grid
 from .errors import CapacityError, DomainError, TruncationError
@@ -86,14 +86,21 @@ class ShiftConfig:
     def for_height(
         T: float, nodes_per_circle: int = 64, radius_scale: float = 1.0
     ) -> "ShiftConfig":
-        return ShiftConfig(math.log(T), nodes_per_circle, radius_scale)
+        return ShiftConfig(_log_height(T), nodes_per_circle, radius_scale)
+
+
+def _log_height(T: float) -> float:
+    """log T; the circles of radius 3^j / log T need T > 1."""
+    if not T > 1.0:
+        raise DomainError(f"T must exceed 1, got {T}")
+    return math.log(T)
 
 
 def fourth_moment_scale(T: float) -> float:
     """Largest power of 1/2 keeping the four-circle torus both inside
     |z1+z2-z3-z4| < 3.5 (no denominator zeros) and conditioning-bounded
     (Mellin exponent within +-4)."""
-    logT = math.log(T)
+    logT = _log_height(T)
     sum_r = sum(3.0**j for j in (1, 2, 3, 4)) / logT
     l0 = math.log(T / TWO_PI)
     scale = 1.0
@@ -280,22 +287,6 @@ def _pair_sum_grid(
         lg, lh, lk = math.log(g), math.log(h), math.log(k)
         out += coef * np.outer(np.exp(zrow * (lg - lh)), np.exp(zcol * (lg - lk)))
     return out
-
-
-def a_ratio(z: tuple[complex, complex, complex, complex]) -> complex:
-    """Quotient of five zeta values at 1 + z_i + z_j pairings over 2 + sum z.
-
-    Rejects arguments within 1e-10 of the pole of any numerator factor.
-    """
-    z1, z2, z3, z4 = (complex(w) for w in z)
-    num = 1.0 + 0.0j
-    for u, v in ((z1, z3), (z1, z4), (z2, z3), (z2, z4)):
-        if abs(u + v) < 1.0e-10:
-            raise DomainError(f"pole: z_i + z_j = {u + v} too close to 0")
-        val, _ = zeta_em(1.0 + u + v)
-        num *= val
-    den, _ = zeta_em(2.0 + z1 + z2 + z3 + z4)
-    return num / den
 
 
 def vandermonde(z: tuple[complex, complex, complex, complex]) -> complex:

@@ -107,6 +107,9 @@ def test_exit_codes(tmp_path):
         ["inequality", "--samples", "-1"],
         ["twisted", "--T", "2e3", "--method", "contour", "--nodes", "7"],
         ["twisted", "--T", "2e3", "--method", "contour", "--nodes", "14"],
+        ["twisted", "--T", "1", "--method", "contour", "--weight", "Z2dZ2"],
+        ["twisted", "--T", "-5", "--method", "contour", "--weight", "Z2dZ2"],
+        ["twisted", "--T", "-5", "--method", "contour", "--weight", "dzeta2"],
         ["moments", "--T", "1e3", "--k", "1", "--h", "0", "--workers", "0"],
         ["moments", "--T", "1e3", "--k", "1", "--h", "0", "--workers", "-3"],
     ):

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab.critline import (
     RS_ROUNDOFF_COEF,
-    EvalAccuracy,
     _rs_c,
     count_sign_changes,
     critical_sample,
     eval_grid,
-    hardy_Z,
     rs_error_estimate,
     theta_gamma,
     theta_gamma_prime,
@@ -172,9 +170,9 @@ def test_first_zero_oracle():
 
 def test_hardy_z_regime():
     with pytest.raises(DomainError):
-        hardy_Z(20.0)
+        eval_grid(np.array([20.0]))
     with pytest.raises(DomainError):
-        hardy_Z(2.0e7)
+        critical_sample(2.0e7)
 
 
 def test_hardy_z_vs_oracle_on_sample():
@@ -189,23 +187,20 @@ def test_hardy_z_vs_oracle_on_sample():
 
 def test_hardy_z_identity_with_oracle_modulus():
     for t in (100.0, 517.3, 4321.0):
-        z, _ = hardy_Z(t)
+        z = critical_sample(t).Z
         zeta_val, _ = zeta_em(complex(0.5, t))
         assert abs(abs(z) - abs(zeta_val)) < 1e-6
 
 
 def test_hardy_z_error_estimate_honest():
     rng = np.random.default_rng(17)
-    for terms in (0, 1, 2, 4):
-        acc = EvalAccuracy(rs_correction_terms=terms)
-        ts = np.sort(rng.uniform(60.0, 3000.0, 60))
-        zeta_vals, _, _ = zeta_em_line(ts)
-        theta, _ = theta_pair_vec(ts)
-        z_ref = (np.exp(1j * theta) * zeta_vals).real
-        grid = eval_grid(ts, acc)
-        errs = np.abs(grid.Z - z_ref)
-        caps = np.array([rs_error_estimate(float(t), acc.rs_correction_terms) for t in ts])
-        assert np.all(errs <= caps)
+    ts = np.sort(rng.uniform(60.0, 3000.0, 240))
+    zeta_vals, _, _ = zeta_em_line(ts)
+    theta, _ = theta_pair_vec(ts)
+    z_ref = (np.exp(1j * theta) * zeta_vals).real
+    errs = np.abs(eval_grid(ts).Z - z_ref)
+    caps = np.array([rs_error_estimate(float(t)) for t in ts])
+    assert np.all(errs <= caps)
 
 
 def test_rs_error_estimate_covers_mpmath_to_1e7():
@@ -224,15 +219,8 @@ def test_rs_error_estimate_covers_mpmath_to_1e7():
 def test_eval_grid_estimate_covers_both_ends():
     ts = np.linspace(1.0e4, 1.0e7, 3)
     grid = eval_grid(ts)
-    assert grid.est_abs_error == max(rs_error_estimate(float(t), 4) for t in ts[[0, -1]])
-    assert grid.est_abs_error >= max(rs_error_estimate(float(t), 4) for t in ts)
-
-
-def test_hardy_z_correction_terms_improve():
-    t = 170.0
-    ref = z_oracle(t)
-    errs = [abs(hardy_Z(t, EvalAccuracy(rs_correction_terms=k))[0] - ref) for k in (0, 2, 4)]
-    assert errs[2] < errs[1] < errs[0]
+    assert grid.est_abs_error == max(rs_error_estimate(float(t)) for t in ts[[0, -1]])
+    assert grid.est_abs_error >= max(rs_error_estimate(float(t)) for t in ts)
 
 
 # C_k as sums of num / (den pi^pi_power) Psi^(order), Psi the cosine ratio
@@ -334,18 +322,16 @@ def test_eval_grid_matches_per_term_reference(ts):
 
 def test_z_prime_against_finite_difference():
     # Five-point central difference as the derivative oracle.
-    acc = EvalAccuracy()
     h = FD_STEP
     for t in (500.0, 1234.5):
-        _, zp = hardy_Z(t, acc)
-        vals = [hardy_Z(t + m * h, acc)[0] for m in (-2, -1, 1, 2)]
+        zp = critical_sample(t).Z_prime
+        vals = [critical_sample(t + m * h).Z for m in (-2, -1, 1, 2)]
         fd = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
         assert zp == pytest.approx(fd, rel=1e-5)
 
 
 def test_z_prime_fd_random_heights():
     rng = np.random.default_rng(3)
-    acc = EvalAccuracy()
     h = FD_STEP
     checked = 0
     for t in rng.uniform(200.0, 5000.0, 100):
@@ -354,10 +340,10 @@ def test_z_prime_fd_random_heights():
         a = math.sqrt((t + 3 * h) / TWO_PI)
         if math.floor(a) != math.floor(math.sqrt((t - 3 * h) / TWO_PI)):
             continue
-        _, zp = hardy_Z(t, acc)
+        zp = critical_sample(t).Z_prime
         if abs(zp) < 1e-2:
             continue
-        vals = [hardy_Z(t + m * h, acc)[0] for m in (-2, -1, 1, 2)]
+        vals = [critical_sample(t + m * h).Z for m in (-2, -1, 1, 2)]
         fd = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
         assert zp == pytest.approx(fd, rel=1e-5)
         checked += 1
@@ -421,9 +407,9 @@ def test_eval_grid_matches_scalar_and_workers():
     g4 = eval_grid(ts, workers=4)
     assert np.array_equal(g1.Z, g4.Z)
     assert np.array_equal(g1.Z_prime, g4.Z_prime)
-    z, zp = hardy_Z(float(ts[700]))
-    assert g1.Z[700] == pytest.approx(z, abs=1e-12)
-    assert g1.Z_prime[700] == pytest.approx(zp, abs=1e-12)
+    s = critical_sample(float(ts[700]))
+    assert g1.Z[700] == pytest.approx(s.Z, abs=1e-12)
+    assert g1.Z_prime[700] == pytest.approx(s.Z_prime, abs=1e-12)
 
 
 def test_eval_grid_validation():
@@ -457,8 +443,3 @@ def test_grid_cache_rejects_noise(tmp_path):
 
     with pytest.raises(ConfigError):
         read_grid(path)
-
-
-def test_eval_accuracy_validation():
-    with pytest.raises(DomainError):
-        EvalAccuracy(rs_correction_terms=9)

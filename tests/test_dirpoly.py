@@ -11,7 +11,6 @@ from zetalab.dirpoly import (
     big_omega,
     build_increment_poly,
     exp_identity_gap,
-    factorial_weight,
     factorize,
     increment_series_eval,
     poly_eval,
@@ -45,24 +44,6 @@ def test_big_omega_examples():
 @settings(max_examples=50, deadline=None)
 def test_big_omega_additive(m, n):
     assert big_omega(m * n) == big_omega(m) + big_omega(n)
-
-
-def test_factorial_weight_examples():
-    assert factorial_weight(8) == pytest.approx(1.0 / 6.0)
-    assert factorial_weight(12) == pytest.approx(0.5)
-    assert factorial_weight(1) == 1.0
-    for n in (2, 15, 105, 1001):  # squarefree
-        assert factorial_weight(n) == 1.0
-
-
-@given(st.integers(min_value=1, max_value=5000), st.integers(min_value=1, max_value=5000))
-@settings(max_examples=40, deadline=None)
-def test_factorial_weight_multiplicative(m, n):
-    if math.gcd(m, n) != 1:
-        return
-    assert factorial_weight(m * n) == pytest.approx(
-        factorial_weight(m) * factorial_weight(n), rel=1e-12
-    )
 
 
 def test_build_increment_poly_enumeration(toy_scheme):

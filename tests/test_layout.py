@@ -1,6 +1,8 @@
 """Source-layout checks: shared constants, the target branch and the CSV
-writer each live in one module of the package."""
+writer each live in one module of the package, and every public name has a
+caller outside the tests."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,3 +26,57 @@ def test_one_csv_writer():
 
 def test_target_branch_only_in_critline():
     assert _modules_matching(r"""target\s*==\s*["']zeta["']""") in ([], ["critline"])
+
+
+# Public names that only tests call, each kept because a test checks a claim
+# of the paper (or an oracle for one) through it.
+KEPT = {
+    "theta_gamma_prime": "the oracle reference for theta'",
+    "count_sign_changes": "criterion 2",
+    "big_omega": "criterion 6",
+    "build_increment_poly": "criterion 6",
+    "g_sum": "criterion 6",
+    "twist_pair_sum_bruteforce": "criterion 9",
+    "twist_pair_sum_euler": "criterion 9",
+    "product_length_fraction": "the paper's T^(1/10) length of the increment product",
+    "mertens_target": "the paper's asymptotics for P_j",
+    "interpolation_sides": "thin scalar wrapper; the pointwise inequality is tested through it",
+    "write_poly_csv": "writes the file that `twisted --poly FILE` reads",
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _references() -> list[tuple[Path, str | None, set[str]]]:
+    """(file, top-level def name or None, identifiers used) for every
+    top-level statement of the code that is not a test."""
+    out = []
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for stmt in ast.parse(path.read_text()).body:
+                names = {
+                    node.id if isinstance(node, ast.Name) else node.attr
+                    for node in ast.walk(stmt)
+                    if isinstance(node, (ast.Name, ast.Attribute))
+                }
+                owner = getattr(stmt, "name", None)
+                out.append((path, owner, names))
+    return out
+
+
+def test_public_names_have_callers():
+    refs = _references()
+    unused = []
+    for path in sorted((ROOT / "src" / "zetalab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+                continue
+            called = any(
+                stmt.name in names and not (where == path and owner == stmt.name)
+                for where, owner, names in refs
+            )
+            if not called:
+                unused.append(stmt.name)
+    assert sorted(unused) == sorted(KEPT)

@@ -67,7 +67,7 @@ def test_k_equals_h_drops_first_factor(grids_1e3):
     # 2k - 2h = 0: the integrand is |zeta'|^(2k) alone.
     grid, grid_half = grids_1e3
     est = joint_moment_on_grids(MomentRequest(1.0e3, 1.0, 1.0), grid, grid_half)
-    direct = float(np.sum(grid.dzeta_abs2()) * est.mesh)
+    direct = float(np.sum(grid.dabs2("zeta")) * est.mesh)
     assert est.value == pytest.approx(direct, rel=1e-12)
 
 
@@ -76,6 +76,17 @@ def test_capped_flag_for_negative_exponent(grids_1e3):
     assert est.capped
     est2 = joint_moment_on_grids(MomentRequest(1.0e3, 1.0, 0.5), *grids_1e3)
     assert not est2.capped
+
+
+def test_error_estimate_covers_smooth_integrands(grids_1e3):
+    # For even e1 = 2k - 2h the integrand is smooth and the midpoint error is
+    # c h^2, so the mesh-halving difference alone is 3/4 of the error; the
+    # estimate must cover the error against an 80 points/gap reference.
+    _, grid80 = moment_grids(1.0e3, 40)
+    for k, h in ((1.0, 0.0), (1.25, 0.25), (1.5, 0.5), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)):
+        est = joint_moment_on_grids(MomentRequest(1.0e3, k, h), *grids_1e3)
+        ref = joint_moment_on_grids(MomentRequest(1.0e3, k, h), grid80, grid80).value
+        assert est.est_rel_error >= abs(est.value - ref) / ref, (k, h)
 
 
 def test_mesh_refinement_consistency():

@@ -13,7 +13,6 @@ from zetalab.twisted import (
     BSeriesConfig,
     CutoffFn,
     ShiftConfig,
-    a_ratio,
     b_factor,
     contour_fourth_moment,
     contour_second_moment,
@@ -168,28 +167,8 @@ def test_g_sum_euler_factorization():
 
 
 # ---------------------------------------------------------------------------
-# a_ratio and the Vandermonde factor
+# The Vandermonde factor
 # ---------------------------------------------------------------------------
-
-
-def test_a_ratio_pole_and_value():
-    with pytest.raises(DomainError):
-        a_ratio((0.1, 0.2, -0.1, 0.3))
-    val = a_ratio((0.1, 0.1, 0.1, 0.1))
-    assert val.imag == pytest.approx(0.0, abs=1e-12)
-    assert val.real > 0.0
-
-
-def test_a_ratio_residue_rate():
-    # Simple pole in z1 + z3: halving the offset doubles the value.
-    base = (0.05, 0.1, 0.0, 0.1)
-    eps1 = a_ratio((1e-4 - base[1], base[1], base[0], base[3]))
-    # Build directly: z1 + z3 = eps with the other pairings fixed.
-    def at(eps):
-        return a_ratio((eps / 2, 0.2, eps / 2, 0.15))
-
-    r = abs(at(1e-4)) / abs(at(2e-4))
-    assert r == pytest.approx(2.0, rel=1e-3)
 
 
 def test_vandermonde_examples():
