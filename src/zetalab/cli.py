@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import critline, dirpoly, gridcache, inequality, moments, primes, twisted
-from .csvio import write_csv
+from .csvio import write_csv, write_float_columns
 from .errors import CapacityError, ConfigError, DomainError
 
 EXIT_OK = 0
@@ -113,8 +113,7 @@ def _cmd_eval(args) -> int:
     ts = args.t_min + (np.arange(count) + 0.5) * step
     grid = critline.eval_grid(ts, workers=args.workers)
     columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
-    rows = zip(*(c.tolist() for c in columns))
-    write_csv(args.out, ["t", "Z", "Z_prime", "theta", "theta_prime"], rows)
+    write_float_columns(args.out, ["t", "Z", "Z_prime", "theta", "theta_prime"], columns)
     if args.cache:
         gridcache.write_grid(grid, args.cache)
     print(f"wrote {args.out}: {grid.t.size} samples, est_abs_error={grid.est_abs_error:.3g}")
@@ -168,7 +167,7 @@ def _cmd_twisted(args) -> int:
             poly, args.T, args.weight, phi, workers=args.workers,
             points_per_gap=args.points_per_gap,
         )
-        mesh = moments.mean_zero_gap(args.T) / args.points_per_gap
+        mesh = twisted.direct_mesh(poly, args.T, args.weight, phi, args.points_per_gap)
         rows.append(
             dict(T=repr(args.T), polynomial_id=poly_id, method="direct",
                  weight=args.weight, value=repr(direct_val), nodes="", mesh=repr(mesh), ratio="")
@@ -394,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=twisted.WEIGHTS, default="dzeta2")
     p.add_argument("--method", choices=("direct", "contour", "both"), default="both")
     p.add_argument("--nodes", type=int, default=64)
-    p.add_argument("--points-per-gap", type=int, default=20)
+    p.add_argument("--points-per-gap", type=int, default=None,
+                   help="override the bandwidth rule of the direct mesh")
     p.set_defaults(func=_cmd_twisted, default_out="twisted.csv")
 
     p = sub.add_parser("selftest", help="run the invariant suite and write a report")

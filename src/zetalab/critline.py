@@ -396,7 +396,7 @@ _RS_MODEL_POINTS = 32
 
 
 @lru_cache(maxsize=1)
-def _rs_models() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+def _rs_models() -> np.ndarray:
     """Chebyshev models of C_0..C_4 with their parity about p = 1/2 built in.
 
     The cosine ratio is even about p = 1/2, so C_k, a combination of its
@@ -406,37 +406,64 @@ def _rs_models() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     (1/2, 1).  Each series is cut after its last coefficient above 8 times
     its noise floor, the largest coefficient in the upper half of the
     interpolant; a longer series only carries noise, which differentiation
-    amplifies (12-14 terms remain).  Returns (g_k, dg_k/dy) coefficients.
+    amplifies (12-14 terms remain).  Returns the coefficients as one
+    read-only (10, d) matrix: rows k = 0..4 hold g_k, rows 5 + k hold
+    dg_k/dy, zero-padded to the longest series.
     """
     cheb = np.polynomial.chebyshev
     orders = tuple(sorted({o for recipe in _C_RECIPES for _, o in recipe}))
     y = cheb.chebpts1(_RS_MODEL_POINTS)
     x = np.sqrt(0.5 * (1.0 + y))
     derivs = [_psi_derivatives(float(p), orders) for p in 0.5 * (1.0 + x)]
-    models = []
+    terms = len(_C_RECIPES)
+    models = np.zeros((2 * terms, _RS_MODEL_POINTS))
     for kk, recipe in enumerate(_C_RECIPES):
         samples = np.array([sum(coef * d[order] for coef, order in recipe) for d in derivs])
         coefs = cheb.chebfit(y, samples / x ** (kk % 2), _RS_MODEL_POINTS - 1)
         floor = np.max(np.abs(coefs[_RS_MODEL_POINTS // 2 :]))
         coefs = coefs[: np.flatnonzero(np.abs(coefs) > 8.0 * floor)[-1] + 1]
-        models.append((coefs, cheb.chebder(coefs)))
-    return tuple(models)
+        models[kk, : coefs.size] = coefs
+        models[terms + kk, : coefs.size - 1] = cheb.chebder(coefs)
+    models = models[:, : np.flatnonzero(models.any(axis=0))[-1] + 1]
+    models.flags.writeable = False
+    return models
+
+
+def _chebyshev_basis(y: np.ndarray, size: int) -> np.ndarray:
+    """T_0(y), ..., T_{size-1}(y) as the rows of one array, by the
+    three-term recurrence T_{j+1} = 2y T_j - T_{j-1}."""
+    basis = np.empty((size, y.size))
+    basis[0] = 1.0
+    basis[1] = y
+    y2 = 2.0 * y
+    for j in range(2, size):
+        np.multiply(y2, basis[j - 1], out=basis[j])
+        basis[j] -= basis[j - 2]
+    return basis
+
+
+def _rs_corrections(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C_k(p) and their p-derivatives, k = 0..4, as two (5, len(p)) arrays.
+
+    One Chebyshev basis serves all ten series: the values of g_k and
+    dg_k/dy are one matrix product.
+    """
+    models = _rs_models()
+    x = 2.0 * p - 1.0
+    y = 2.0 * x * x - 1.0
+    g, dg = np.split(models @ _chebyshev_basis(y, models.shape[1]), 2)
+    dg *= 8.0 * x  # dy/dp = 8x
+    odd = slice(1, None, 2)  # C_k = x g_k(y) for odd k
+    dg[odd] *= x
+    dg[odd] += 2.0 * g[odd]
+    g[odd] *= x
+    return g, dg
 
 
 def _rs_c(k: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """C_k(p) and its p-derivative from the parity-folded model."""
-    cheb = np.polynomial.chebyshev
-    coefs, dcoefs = _rs_models()[k]
-    x = 2.0 * p - 1.0
-    y = 2.0 * x * x - 1.0
-    g = cheb.chebval(y, coefs)
-    dg = cheb.chebval(y, dcoefs)
-    dg *= 8.0 * x  # dy/dp = 8x
-    if k % 2:  # C_k = x g_k(y)
-        dg *= x
-        dg += 2.0 * g
-        g *= x
-    return g, dg
+    g, dg = _rs_corrections(np.asarray(p, dtype=float))
+    return g[k], dg[k]
 
 
 def rs_error_estimate(t: float) -> float:
@@ -454,6 +481,15 @@ def rs_error_estimate(t: float) -> float:
 # the table in cache and peak memory flat, large enough that each numpy call
 # does real work when eval_grid threads run side by side.
 _MAIN_SUM_BUDGET = 1 << 17
+
+# Heights per block of the correction terms: the (14, block) Chebyshev basis
+# stays under 1 MB.  Fixed, unlike the main-sum blocks, whose row count falls
+# as N grows and would add per-call overhead here.
+_CORRECTION_BLOCK = 1 << 13
+
+# Heights per eval_grid piece; pieces are cut at fixed offsets of the grid,
+# so the result does not depend on how many threads share them.
+_GRID_PIECE = 1 << 15
 
 
 @lru_cache(maxsize=1)
@@ -548,11 +584,14 @@ def _hardy_grid(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     corr = np.zeros_like(t)  # sum C_k r^k
     corr_p = np.zeros_like(t)  # sum C_k' r^k
     corr_k = np.zeros_like(t)  # sum k C_k r^k
-    for k in range(len(_C_RECIPES) - 1, -1, -1):
-        ck, ckp = _rs_c(k, p)
-        for total, term in ((corr, ck), (corr_p, ckp), (corr_k, k * ck)):
-            total *= r
-            total += term
+    for lo in range(0, t.size, _CORRECTION_BLOCK):
+        block = slice(lo, lo + _CORRECTION_BLOCK)
+        ck, ckp = _rs_corrections(p[block])
+        rb = r[block]
+        for k in range(ck.shape[0] - 1, -1, -1):
+            for total, term in ((corr, ck[k]), (corr_p, ckp[k]), (corr_k, k * ck[k])):
+                total[block] *= rb
+                total[block] += term
     q = np.sqrt(r)  # tau^{-1/4}
     q[np.mod(n_floor, 2.0) == 0.0] *= -1.0  # (-1)^(N-1)
     z += q * corr
@@ -632,9 +671,8 @@ def eval_grid(t: np.ndarray, workers: int = 1) -> GridData:
     # Build the correction models and factor tables once, outside the pool.
     _rs_models()
     _main_sum_tables()
-    chunk = 1 << 18
     # An empty grid still makes one (empty) piece.
-    pieces = [t[lo : lo + chunk] for lo in range(0, max(t.size, 1), chunk)]
+    pieces = [t[lo : lo + _GRID_PIECE] for lo in range(0, max(t.size, 1), _GRID_PIECE)]
     if workers > 1 and len(pieces) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_hardy_grid, pieces))

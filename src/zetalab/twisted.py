@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critline import TARGETS, TWO_PI, eval_grid, zeta_em_vec
+from .critline import RS_MIN_T, TARGETS, TWO_PI, eval_grid, zeta_em_vec
 from .csvio import write_csv
 from .dirpoly import DirichletPoly, factorize, poly_eval_grid
 from .errors import CapacityError, DomainError, TruncationError
@@ -583,24 +583,53 @@ def contour_fourth_moment(
 # ---------------------------------------------------------------------------
 
 
+def direct_mesh(
+    a: DirichletPoly,
+    T: float,
+    weight: str,
+    phi: CutoffFn,
+    points_per_gap: int | None = None,
+) -> float:
+    """Nominal midpoint mesh of `twisted_direct`.
+
+    Z has local frequencies |theta'(t) - log n| <= (1/2) log(t / 2 pi), the
+    weight multiplies 2 (z2_power + 1) such factors with |A|^2, whose
+    frequencies reach +-log(max n of A).  So the integrand is band-limited
+    to Omega = (z2_power + 1) log(t_hi / 2 pi) + log(max n of A), with t_hi
+    the top of the cutoff's support.  Once 2 pi / h > Omega, the midpoint sum
+    of the C-infinity window is exact up to the window's spectral tail
+    (Trefethen and Weideman, SIAM Review 56, 2014); the mesh is pi / Omega,
+    twice the Nyquist rate.  points_per_gap, if given, overrides the rule
+    with mean_zero_gap(T) / points_per_gap.
+    """
+    if weight not in WEIGHTS:
+        raise DomainError(f"weight must be one of {tuple(WEIGHTS)}, got {weight!r}")
+    if not phi.support[0] * T >= RS_MIN_T:
+        raise DomainError(f"the cutoff's support must start at t >= {RS_MIN_T:g}, got T = {T:g}")
+    if points_per_gap is not None:
+        if points_per_gap < 1:
+            raise DomainError("points_per_gap must be >= 1")
+        return mean_zero_gap(T) / points_per_gap
+    z2_power, _ = WEIGHTS[weight]
+    t_hi = phi.support[1] * T
+    bandwidth = (z2_power + 1) * math.log(t_hi / TWO_PI) + math.log(max(a.coeffs, default=1))
+    return math.pi / bandwidth
+
+
 def twisted_direct(
     a: DirichletPoly,
     T: float,
     weight: str = "dzeta2",
     phi: CutoffFn = CutoffFn(),
     workers: int = 1,
-    points_per_gap: int = 20,
+    points_per_gap: int | None = None,
 ) -> float:
     """Direct midpoint quadrature of the weighted integrand times
-    |A(1/2+it)|^2 phi(t/T) over the support of the cutoff."""
-    if weight not in WEIGHTS:
-        raise DomainError(f"weight must be one of {tuple(WEIGHTS)}, got {weight!r}")
-    if points_per_gap < 1:
-        raise DomainError("points_per_gap must be >= 1")
+    |A(1/2+it)|^2 phi(t/T) over the support of the cutoff, on the mesh
+    of `direct_mesh`."""
+    mesh = direct_mesh(a, T, weight, phi, points_per_gap)
     z2_power, target = WEIGHTS[weight]
-    ts, step = _midpoint_grid(
-        phi.support[0] * T, phi.support[1] * T, mean_zero_gap(T) / points_per_gap
-    )
+    ts, step = _midpoint_grid(phi.support[0] * T, phi.support[1] * T, mesh)
     grid = eval_grid(ts, workers=workers)
     vals = grid.zeta_abs2() ** z2_power * grid.dabs2(target)
     amps = np.abs(poly_eval_grid(a, ts)) ** 2

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab.critline import (
     RS_ROUNDOFF_COEF,
+    _chebyshev_basis,
     _rs_c,
+    _rs_models,
     count_sign_changes,
     critical_sample,
     eval_grid,
@@ -259,6 +261,18 @@ def test_rs_correction_models_match_mpmath():
         assert np.max(np.abs(ckp - ref[k, 1])) <= 1e-12, k
 
 
+def test_rs_series_match_per_series_clenshaw():
+    # The ten series of the correction models from one Chebyshev basis and
+    # one matrix product, against each series summed alone by Clenshaw.
+    models = _rs_models()
+    x = 2.0 * np.random.default_rng(31).uniform(0.0, 1.0, 2000) - 1.0
+    y = 2.0 * x * x - 1.0
+    series = models @ _chebyshev_basis(y, models.shape[1])
+    for row, coefs in enumerate(models):
+        clenshaw = np.polynomial.chebyshev.chebval(y, coefs)
+        assert np.max(np.abs(series[row] - clenshaw)) <= 1e-15, row
+
+
 def _rs_reference(ts):
     """Riemann-Siegel Z and Z' with the main sum taken term by term, one cos
     and one sin per (height, n), and the corrections assembled from _rs_c."""
@@ -410,6 +424,13 @@ def test_eval_grid_matches_scalar_and_workers():
     s = critical_sample(float(ts[700]))
     assert g1.Z[700] == pytest.approx(s.Z, abs=1e-12)
     assert g1.Z_prime[700] == pytest.approx(s.Z_prime, abs=1e-12)
+    # Across several 2^15-point pieces the bytes do not depend on the
+    # number of threads that share them.
+    ts = 1.0e4 + (np.arange(3 * (1 << 15) + 4321) + 0.5) * 0.01
+    g1 = eval_grid(ts, workers=1)
+    g4 = eval_grid(ts, workers=4)
+    assert np.array_equal(g1.Z, g4.Z)
+    assert np.array_equal(g1.Z_prime, g4.Z_prime)
 
 
 def test_eval_grid_validation():

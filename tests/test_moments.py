@@ -90,13 +90,15 @@ def test_error_estimate_covers_smooth_integrands(grids_1e3):
 
 
 def test_mesh_refinement_consistency():
-    # The estimate from halving must dominate the next halving's change.
-    req20 = MomentRequest(1.0e3, 1.5, 0.5, points_per_gap=20)
-    req40 = MomentRequest(1.0e3, 1.5, 0.5, points_per_gap=40)
-    est20 = joint_moment(req20)
-    est40 = joint_moment(req40)
-    change = abs(est40.value - est20.value) / est40.value
-    assert change <= 3.0 * max(est20.est_rel_error, 1e-12)
+    # The 20 points/gap estimate (from the 20 and 40 points/gap grids) must
+    # cover the distance to a 60 points/gap value it never computed, and
+    # refining the mesh must shrink the estimate.
+    est20 = joint_moment(MomentRequest(1.0e3, 1.5, 0.5, points_per_gap=20))
+    est40 = joint_moment(MomentRequest(1.0e3, 1.5, 0.5, points_per_gap=40))
+    grid60, _ = moment_grids(1.0e3, 60)
+    v60 = joint_moment_on_grids(MomentRequest(1.0e3, 1.5, 0.5), grid60, grid60).value
+    assert abs(est20.value - v60) / v60 <= est20.est_rel_error
+    assert est40.est_rel_error < est20.est_rel_error
 
 
 def test_continuity_in_h(grids_1e3):

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab import twisted
 from zetalab.critline import eval_grid, zeta_em_vec
-from zetalab.dirpoly import DirichletPoly
+from zetalab.dirpoly import DirichletPoly, poly_eval_grid
 from zetalab.errors import CapacityError, DomainError, TruncationError
-from zetalab.moments import MomentRequest, joint_moment
+from zetalab.moments import MomentRequest, _midpoint_grid, joint_moment, mean_zero_gap
 from zetalab.twisted import (
     BSeriesConfig,
     CutoffFn,
@@ -16,6 +16,7 @@ from zetalab.twisted import (
     b_factor,
     contour_fourth_moment,
     contour_second_moment,
+    direct_mesh,
     f_sum,
     fourth_moment_scale,
     g_sum,
@@ -439,7 +440,33 @@ def test_direct_weights_match_independent_midpoint_sum():
     amps = np.abs(1.0 + 2.0**-0.5 * np.exp(-1j * ts * math.log(2.0))) ** 2
     for weight, vals in expected.items():
         ref = float(np.sum(vals * amps * PHI(ts / T)) * step)
-        assert twisted_direct(poly, T, weight, PHI) == pytest.approx(ref, rel=1e-12)
+        value = twisted_direct(poly, T, weight, PHI, points_per_gap=20)
+        assert value == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("T", [1.0e3, 1.0e4])
+def test_direct_bandwidth_mesh_matches_fine_mesh(T):
+    # The default mesh, about 2 and 4 points per mean zero gap, against one
+    # 40 points/gap grid per T shared by every (weight, polynomial) pair.
+    ts, step = _midpoint_grid(0.75 * T, 2.25 * T, mean_zero_gap(T) / 40)
+    grid = eval_grid(ts)
+    window = PHI(ts / T) * step
+    for poly in (ONE, DirichletPoly.from_coeffs({1: 1.0, 2: 1.0})):
+        amps = np.abs(poly_eval_grid(poly, ts)) ** 2
+        for weight, (z2_power, target) in twisted.WEIGHTS.items():
+            vals = grid.zeta_abs2() ** z2_power * grid.dabs2(target)
+            ref = float(np.sum(vals * amps * window))
+            assert twisted_direct(poly, T, weight, PHI) == pytest.approx(ref, rel=2e-12), weight
+
+
+def test_direct_mesh_follows_bandwidth():
+    T = 1.0e4
+    assert direct_mesh(ONE, T, "Z2dZ2", PHI) < direct_mesh(ONE, T, "dZ2", PHI)
+    long_poly = DirichletPoly.from_coeffs({1: 1.0, 97: 1.0})
+    assert direct_mesh(long_poly, T, "dzeta2", PHI) < direct_mesh(ONE, T, "dzeta2", PHI)
+    assert direct_mesh(ONE, T, "dZ2", PHI, points_per_gap=20) == mean_zero_gap(T) / 20
+    with pytest.raises(DomainError):
+        direct_mesh(ONE, T, "dZ2", PHI, points_per_gap=0)
 
 
 def test_direct_plateau_domination():
