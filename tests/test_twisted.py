@@ -467,7 +467,7 @@ def test_direct_mesh_follows_bandwidth():
     assert direct_mesh(ONE, T, "dZ2", PHI, points_per_gap=20) == mean_zero_gap(T) / 20
     with pytest.raises(DomainError):
         direct_mesh(ONE, T, "dZ2", PHI, points_per_gap=0)
-    # Below the Riemann-Siegel range the rule has no positive bandwidth.
+    # A cutoff support that starts below t = 50 is rejected before any grid.
     for low in (2.0, 5.0):
         with pytest.raises(DomainError):
             twisted_direct(ONE, low, "dzeta2", PHI)
