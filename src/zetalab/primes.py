@@ -44,6 +44,23 @@ def _simple_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
+def smallest_prime_factors(limit: int) -> np.ndarray:
+    """spf[n], the smallest prime factor of n, for 0 <= n <= limit.
+
+    Each prime p <= isqrt(limit) marks the multiples of p from p^2 that no
+    smaller prime has marked; the n left unmarked are prime, spf[n] = n.
+    spf[0] = spf[1] = 0.
+    """
+    spf = np.zeros(int(limit) + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(int(limit)) + 1):
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unmarked = np.flatnonzero(spf[2:] == 0) + 2
+    spf[unmarked] = unmarked
+    return spf
+
+
 def sieve_primes(limit: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
     """Exact table of the primes <= limit.
 

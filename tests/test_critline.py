@@ -20,6 +20,7 @@ from zetalab.critline import (
     z_oracle,
     zeta_em,
     zeta_em_line,
+    zeta_em_vec,
 )
 from zetalab.errors import DomainError
 from zetalab.gridcache import read_grid, write_grid
@@ -148,15 +149,38 @@ def test_zeta_em_line_matches_scalar():
 
 
 def test_zeta_em_line_across_chunks():
-    # 6000 ascending heights span three 2048-point chunks, each with its own
-    # Euler-Maclaurin cutoff; check both sides of every chunk edge.
+    # Each argument takes its own Euler-Maclaurin cutoff, and its power sum is
+    # filled in table blocks whose width follows the cutoffs; a value must not
+    # depend on the other heights of the batch or on where a block starts.
+    # The reported estimate is checked in test_zeta_em_estimate_covers_mpmath.
     ts = np.geomspace(100.0, 1.0e5, 6000)
-    zv, dzv, est = zeta_em_line(ts)
+    zv, dzv, _ = zeta_em_line(ts)
     for i in (0, 2047, 2048, 4095, 4096, ts.size - 1):
         z, dz = zeta_em(complex(0.5, ts[i]))
-        assert abs(zv[i] - z) < 1e-11
-        assert abs(dzv[i] - dz) < 1e-10
-    assert est < 1e-10
+        assert abs(zv[i] - z) <= 1e-14 * abs(z)
+        assert abs(dzv[i] - dz) <= 1e-14 * abs(dz)
+    # Near the pole, high on the line and reflected, side by side.
+    mixed = np.array([1.02 + 0.3j, 0.5 + 5.0e4j, -3.0 + 20.0j])
+    zv, dzv, _ = zeta_em_vec(mixed)
+    for i, s in enumerate(mixed):
+        z, dz = zeta_em(s)
+        assert abs(zv[i] - z) <= 1e-14 * abs(z)
+        assert abs(dzv[i] - dz) <= 1e-14 * abs(dz)
+
+
+def test_zeta_em_estimate_covers_mpmath():
+    # The estimate bounds the error of zeta (not of zeta') on the line up to
+    # EM_MAX_IM, where the float64 phase roundoff dominates, and near the pole,
+    # where contour main terms evaluate zeta(1 + z_i - z_j).
+    mpmath = pytest.importorskip("mpmath")
+    line = 0.5 + 1.0j * np.geomspace(10.0, 1.0e5, 40)
+    ring = np.exp(2j * np.pi * np.arange(8) / 8)
+    near_pole = np.concatenate([1.0 + r * ring for r in (0.02, 0.1, 0.6)])
+    s = np.concatenate([line, near_pole])
+    zv, _, est = zeta_em_vec(s)
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.zeta(mpmath.mpc(x.real, x.imag))) for x in s])
+    assert np.all(est >= np.abs(zv - ref))
 
 
 # ---------------------------------------------------------------------------

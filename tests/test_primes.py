@@ -13,6 +13,7 @@ from zetalab.primes import (
     mertens_target,
     prime_sum_at,
     sieve_primes,
+    smallest_prime_factors,
     write_scheme_csv,
 )
 
@@ -41,6 +42,13 @@ def test_sieve_small_cases():
 def test_sieve_against_trial_division_to_1e4():
     table = sieve_primes(10_000)
     assert list(table.primes) == trial_division_primes(10_000)
+
+
+def test_smallest_prime_factors_against_trial_division():
+    spf = smallest_prime_factors(5000)
+    assert spf.size == 5001 and spf[0] == spf[1] == 0
+    for n in range(2, 5001):
+        assert spf[n] == next(d for d in range(2, n + 1) if n % d == 0), n
 
 
 def test_sieve_million_count():
