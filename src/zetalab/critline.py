@@ -226,10 +226,10 @@ def _em_power_sums(s: np.ndarray, n_cut: np.ndarray) -> tuple[np.ndarray, np.nda
     level over the dyadic ranges [2^k, 2^(k+1)), k >= 2, after the primes 2
     and 3: one complex exp per prime n and one complex multiply
     spf(n)^{-s} (n / spf(n))^{-s} per composite, whose two factors lie in
-    earlier ranges.  The even n of a range are one
-    strided slice, 2^{-s} times the rows of the range before; the odd n are
-    gathered, a prime as 1 times itself.  Entries with n > N are zeroed and
-    the columns summed by `_lane_sum`, so each value is the same in any batch.
+    earlier ranges.  The even n of a range are one strided slice, 2^{-s}
+    times the rows of the range before; the odd n are gathered, a prime as
+    1 times itself.  Entries with n > N are zeroed and the columns summed by
+    `_lane_sum`, so each value is the same in any batch.
     """
     zeta = np.empty(s.shape, dtype=complex)
     dzeta = np.empty(s.shape, dtype=complex)
