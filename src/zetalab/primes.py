@@ -35,15 +35,6 @@ class PrimeTable:
         return int(self.primes.size)
 
 
-def _simple_sieve(limit: int) -> np.ndarray:
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def smallest_prime_factors(limit: int) -> np.ndarray:
     """spf[n], the smallest prime factor of n, for 0 <= n <= limit.
 
@@ -64,7 +55,8 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
 def sieve_primes(limit: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
     """Exact table of the primes <= limit.
 
-    The primes up to isqrt(limit) sieve the rest in segments of
+    The primes up to isqrt(limit), the n with spf[n] = n in
+    `smallest_prime_factors`, sieve the rest in segments of
     SIEVE_SEGMENT; indices are 64-bit throughout.  Raises DomainError for
     limit < 2 and CapacityError above `cap`.
     """
@@ -74,7 +66,8 @@ def sieve_primes(limit: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
     if limit > cap:
         raise CapacityError(f"sieve limit {limit} exceeds cap {cap}")
     root = math.isqrt(limit)
-    base = _simple_sieve(root)
+    spf = smallest_prime_factors(root)
+    base = np.flatnonzero(spf[2:] == np.arange(2, root + 1)) + 2
     chunks = [base]
     low = root + 1
     while low <= limit:
