@@ -129,13 +129,15 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_inequality(args) -> int:
+    if not args.t_max > args.t_min:
+        raise ConfigError(f"--t-max must exceed --t-min, got [{args.t_min}, {args.t_max}]")
+    if args.samples < 0:
+        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     table = primes.sieve_primes(args.sieve_limit)
     scheme = primes.custom_scheme(args.T, _parse_boundaries(args.boundaries), table)
     cfg = inequality.InterpolationConfig(
         k=args.k, scheme=scheme, c_omega=args.c_omega, c_p=args.c_p, variant=args.variant
     )
-    if args.samples < 0:
-        raise ConfigError(f"--samples must be >= 0, got {args.samples}")
     rng = _rng(args.seed)
     ts = np.sort(rng.uniform(args.t_min, args.t_max, args.samples))
     report = inequality.check_interpolation(ts, cfg, args.target)

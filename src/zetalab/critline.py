@@ -595,6 +595,40 @@ def _main_sum_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return spf, omega, order
 
 
+# Largest number of main-sum lengths N whose block set-up is kept.  One
+# set-up holds 40 N bytes of arrays (50 kB at the top N = 1261), so the
+# cache stays under 3.3 MB; every N up to the top would take about 32 MB.
+_MAIN_SUM_SETUPS = 64
+
+
+@lru_cache(maxsize=_MAIN_SUM_SETUPS)
+def _main_sum_setup(n_max: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]:
+    """Everything a main-sum block of length n_max needs but its heights.
+
+    Returns (ns, level, phase, factors, weights): ns lists 1..n_max in the
+    row order of `_main_sum_tables`, level[w] is the first row with omega w
+    and level[-1] = ns.size, phase is -i log n on the prime rows, factors
+    holds for each composite row the rows of spf(n) and of n / spf(n), and
+    weights stacks 2 n^{-1/2} and 2 n^{-1/2} log n.
+    """
+    spf, omega, order = _main_sum_tables()
+    ns = order[order <= n_max]
+    pos = np.empty(n_max + 1, dtype=np.int64)
+    pos[ns] = np.arange(ns.size)
+    level = np.searchsorted(omega[ns], np.arange(omega[ns[-1]] + 2))
+    log_n = np.log(ns.astype(float))
+    comp = ns[level[2] :]
+    f = spf[comp]
+    w = 2.0 / np.sqrt(ns)
+    arrays = (ns, -1j * log_n[level[1] : level[2]], np.stack([pos[f], pos[comp // f]]),
+              np.stack([w, w * log_n]))
+    # Every block of this length shares the arrays.
+    for arr in arrays:
+        arr.flags.writeable = False
+    ns, phase, factors, weights = arrays
+    return ns, tuple(level.tolist()), phase, factors, weights
+
+
 def _main_sum(
     t: np.ndarray, theta: np.ndarray, theta_p: np.ndarray, n_floor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -607,9 +641,10 @@ def _main_sum(
     multiply spf(n)^{-it} (n / spf(n))^{-it} per composite, zeroes the
     entries with n > n_floor, and takes S and S' as two weight vectors times
     the table.  The table rows follow (omega(n), n), so each omega level is
-    one slice built from earlier rows.  Block boundaries depend only on t.
+    one slice built from earlier rows.  The row layout depends only on the
+    block's largest N and comes from `_main_sum_setup`.  Block boundaries
+    depend only on t.
     """
-    spf, omega, order = _main_sum_tables()
     z = np.empty_like(t)
     zp = np.empty_like(t)
     rows = max(1, _MAIN_SUM_BUDGET // int(n_floor.max(initial=1)))
@@ -617,24 +652,16 @@ def _main_sum(
         block = slice(lo, lo + rows)
         tb = t[block]
         nb = n_floor[block].astype(np.int64)
-        n_max = int(nb.max())
-        ns = order[order <= n_max]
-        pos = np.empty(n_max + 1, dtype=np.int64)
-        pos[ns] = np.arange(ns.size)
-        level = np.searchsorted(omega[ns], np.arange(omega[ns[-1]] + 2))
-        log_n = np.log(ns.astype(float))
+        ns, level, phase, factors, weights = _main_sum_setup(int(nb.max()))
         table = np.empty((ns.size, tb.size), dtype=complex)
         table[0] = 1.0
-        primes = slice(level[1], level[2])
-        np.exp(np.multiply.outer(-1j * log_n[primes], tb), out=table[primes])
+        np.exp(np.multiply.outer(phase, tb), out=table[level[1] : level[2]])
         for lo_k, hi_k in zip(level[2:-1], level[3:]):
-            comp = ns[lo_k:hi_k]
-            f = spf[comp]
-            np.multiply(table[pos[f]], table[pos[comp // f]], out=table[lo_k:hi_k])
+            a, b = factors[:, lo_k - level[2] : hi_k - level[2]]
+            np.multiply(table[a], table[b], out=table[lo_k:hi_k])
         short = ns > nb.min()
         table[short] *= ns[short, None] <= nb
-        w = 2.0 / np.sqrt(ns)
-        s, ds = (np.stack([w, w * log_n]) @ table.view(float)).view(complex)
+        s, ds = (weights @ table.view(float)).view(complex)
         rot = np.exp(1j * theta[block])
         z[block] = (rot * s).real
         zp[block] = -(rot * (theta_p[block] * s - ds)).imag

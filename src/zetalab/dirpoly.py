@@ -5,7 +5,9 @@ increment supports reach n ~ p^80).  The increment factor over a prime range
 carries the weight alpha^Omega(n) * prod 1/(m_i!) below an Omega cutoff;
 term-by-term this is identical to the degree-capped Taylor series of
 exp(alpha * sum_p p^-s), which the fast evaluation path exploits and
-exp_identity_gap verifies.
+exp_identity_gap verifies.  The fast path takes any number of twists alpha
+from one prime sum, and its Taylor sum stops once the remaining terms are
+below rounding, so a cap K far above |alpha P_j| costs nothing.
 """
 
 from __future__ import annotations
@@ -195,29 +197,51 @@ def poly_product(
 def increment_series_eval(
     scheme: IncrementScheme,
     j: int,
-    alpha: complex,
+    alpha: complex | np.ndarray,
     t: np.ndarray,
     omega_cutoff: float = 500.0,
-) -> np.ndarray:
+) -> np.ndarray | list[np.ndarray]:
     """Fast evaluation of the increment factor on a t grid.
 
     Because the coefficients are exactly the multinomial expansion of
     exp(alpha P_j(s)) capped at Omega <= K, the value equals the degree-K
     Taylor polynomial of exp at alpha P_j(1/2+it); K = floor(cutoff * P_j).
+    alpha is one twist or a 1-d array of twists; an array gives a list with
+    one row per twist, all from one prime sum, each row equal to its
+    one-twist call.
     """
     t = np.asarray(t, dtype=float)
     k_max = int(math.floor(omega_cutoff * scheme.variance(j)))
-    return _truncated_exp(alpha * prime_sum_at(scheme, j, 0.5 + 1j * t), k_max)
+    psum = prime_sum_at(scheme, j, 0.5 + 1j * t)
+    if np.ndim(alpha):
+        return [_truncated_exp(a * psum, k_max) for a in alpha]
+    return _truncated_exp(alpha * psum, k_max)
 
 
 def _truncated_exp(w, depth: int):
-    """Degree-`depth` Taylor polynomial of exp at w, a scalar or an array."""
-    out = np.ones(np.shape(w), dtype=complex)
-    term = 1.0
+    """Degree-`depth` Taylor polynomial of exp at w, a scalar or an array.
+
+    The terms w^m / m! are added in place and the sum stops at its rounding
+    floor: with r = max |w| and m + 1 >= 2r, the terms after the m-th add up
+    to at most (2r / (m + 1)) r^m / m! (a geometric tail of ratio <= 1/2),
+    and once that is below (eps / 4) e^{-r} <= (eps / 4) |exp w| the rest is
+    below rounding.  A small depth ends the sum first, and then every term
+    is added.
+    """
+    arr = np.asarray(w, dtype=complex)
+    r = float(np.max(np.abs(arr), initial=0.0))
+    floor = 0.25 * np.finfo(float).eps * math.exp(-r)
+    out = np.ones(arr.shape, dtype=complex)
+    term = np.ones(arr.shape, dtype=complex)
+    size = 1.0  # r^m / m!, the largest |term|
     for m in range(1, depth + 1):
-        term = term * w / m
-        out = out + term
-    return out
+        term *= arr
+        term /= m
+        out += term
+        size *= r / m
+        if m + 1 >= 2.0 * r and 2.0 * r / (m + 1) * size <= floor:
+            break
+    return out if np.ndim(w) else complex(out)
 
 
 def exp_identity_gap(

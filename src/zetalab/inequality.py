@@ -61,27 +61,33 @@ def penalty_exponent(cfg: InterpolationConfig, v: int) -> int:
 
 
 def _increment_products(
-    cfg: InterpolationConfig, alpha: float, t: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """|N_j(s; alpha)|^2 for all increments: full product and prefix products.
+    cfg: InterpolationConfig, alpha: np.ndarray, t: np.ndarray
+) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
+    """|N_j(s; alpha)|^2 for all increments: full product and prefix products,
+    one row per twist in alpha.
 
     prefix[v-2] holds the product over 2 <= j < v; the full product is the
     final prefix extended by the last factor.
     """
     scheme = cfg.scheme
-    prefix: list[np.ndarray] = []
-    running = np.ones(t.shape)
+    prefix: list[list[np.ndarray]] = []
+    running = [np.ones(t.shape) for _ in alpha]
     for j in range(2, scheme.ell + 1):
-        prefix.append(running.copy())
+        prefix.append(running)
         vals = increment_series_eval(scheme, j, alpha, t, cfg.c_omega)
-        running = running * np.abs(vals) ** 2
+        running = [r * np.abs(v) ** 2 for r, v in zip(running, vals)]
     return running, prefix
 
 
 def interpolation_sides_grid(
     t: np.ndarray, cfg: InterpolationConfig, target: str = "zeta"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector (lhs, rhs) of the pointwise bound over an ascending grid."""
+    """Vector (lhs, rhs) of the pointwise bound over an ascending grid.
+
+    Both twists k - 2 and k - 1 come from one prime sum per range, so each
+    range's P_v(1/2 + it) is summed twice: once for the twists and once for
+    the penalty weight.
+    """
     t = np.asarray(t, dtype=float)
     grid = eval_grid(t)
     za = np.abs(grid.Z)
@@ -89,11 +95,10 @@ def interpolation_sides_grid(
     k = cfg.k
     lhs = za ** (2.0 * k - 2.0) * dz2
 
-    full_m2, prefix_m2 = _increment_products(cfg, k - 2.0, t)
-    full_m1, prefix_m1 = _increment_products(cfg, k - 1.0, t)
-    coef4 = 2.0 * k
-    coef2 = 4.0 - 2.0 * k
-    rhs = coef4 * za**2 * dz2 * full_m2 + coef2 * dz2 * full_m1
+    (full_m2, full_m1), prefix = _increment_products(cfg, np.array([k - 2.0, k - 1.0]), t)
+    fourth = 2.0 * k * za**2 * dz2
+    second = (4.0 - 2.0 * k) * dz2
+    rhs = fourth * full_m2 + second * full_m1
 
     scheme = cfg.scheme
     for v in range(2, scheme.ell + 1):
@@ -106,10 +111,8 @@ def interpolation_sides_grid(
         with np.errstate(divide="ignore"):
             logw = 2.0 * m_v * (np.log(psum) - math.log(cfg.c_p * pv))
         weight = np.where(psum > 0.0, np.exp(logw), 0.0)
-        second = full_m1 if cfg.variant == "full_product" else prefix_m1[v - 2]
-        rhs = rhs + (
-            coef4 * za**2 * dz2 * prefix_m2[v - 2] + coef2 * dz2 * second
-        ) * weight
+        twist_m1 = full_m1 if cfg.variant == "full_product" else prefix[v - 2][1]
+        rhs = rhs + (fourth * prefix[v - 2][0] + second * twist_m1) * weight
     return lhs, rhs
 
 

@@ -105,6 +105,8 @@ def test_exit_codes(tmp_path):
         ["eval", "--t-min", "200", "--t-max", "100"],
         ["eval", "--t-min", "100", "--t-max", "100"],
         ["inequality", "--samples", "-1"],
+        ["inequality", "--t-min", "2e4", "--t-max", "1e4"],
+        ["inequality", "--t-min", "1e4", "--t-max", "1e4"],
         ["twisted", "--T", "2e3", "--method", "contour", "--nodes", "7"],
         ["twisted", "--T", "2e3", "--method", "contour", "--nodes", "14"],
         ["twisted", "--T", "1", "--method", "contour", "--weight", "Z2dZ2"],

@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab.critline import (
     RS_ROUNDOFF_COEF,
+    _MAIN_SUM_SETUPS,
     _chebyshev_basis,
+    _main_sum_setup,
     _rs_c,
     _rs_models,
     count_sign_changes,
@@ -356,6 +358,28 @@ def test_eval_grid_matches_per_term_reference(ts):
         alone = eval_grid(ts[i : i + 1])
         assert abs(alone.Z[0] - grid.Z[i]) <= 1e-12, ts[i]
         assert abs(alone.Z_prime[0] - grid.Z_prime[i]) <= 1e-12, ts[i]
+
+
+def test_critical_sample_reuses_setup_per_length():
+    # Heights just below and above 2 pi n^2 have main-sum lengths n - 1 and
+    # n; taken in the order N, N + 1, N, N + 1, the second height of each
+    # length is served by the set-up the first one built.
+    _main_sum_setup.cache_clear()
+    for n in (40, 400):
+        edge = TWO_PI * n * n
+        ts = np.array([edge - 0.5, edge + 0.5, edge - 0.25, edge + 0.25])
+        z_ref, zp_ref, theta_p = _rs_reference(ts)
+        bound = RS_ROUNDOFF_COEF * np.finfo(float).eps * ts * np.log(ts)
+        for i, t in enumerate(ts):
+            sample = critical_sample(float(t))
+            assert abs(sample.Z - z_ref[i]) <= bound[i], t
+            assert abs(sample.Z_prime - zp_ref[i]) / theta_p[i] <= bound[i], t
+    info = _main_sum_setup.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+    # The cache keeps at most _MAIN_SUM_SETUPS lengths.
+    for n_max in range(2, 2 * _MAIN_SUM_SETUPS + 2):
+        _main_sum_setup(n_max)
+    assert _main_sum_setup.cache_info().currsize == _MAIN_SUM_SETUPS == info.maxsize
 
 
 def test_z_prime_against_finite_difference():

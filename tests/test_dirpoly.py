@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from zetalab.dirpoly import (
     DirichletPoly,
     MultiplicativeSpec,
+    _truncated_exp,
     big_omega,
     build_increment_poly,
     exp_identity_gap,
@@ -168,6 +169,53 @@ def test_increment_series_matches_polynomial(toy_scheme):
         )
         direct = np.array([poly_eval(poly, float(t)) for t in ts])
         assert np.max(np.abs(series - direct)) < 1e-12
+
+
+def _taylor_reference(w: complex, depth: int) -> tuple[complex, float]:
+    """Degree-`depth` Taylor polynomial of exp at w with every term added by
+    fsum, and the sum of the term sizes (the scale of its rounding)."""
+    terms = [1.0 + 0.0j]
+    for m in range(1, depth + 1):
+        terms.append(terms[-1] * w / m)
+    value = complex(math.fsum(x.real for x in terms), math.fsum(x.imag for x in terms))
+    return value, math.fsum(abs(x) for x in terms)
+
+
+@pytest.mark.parametrize("depth", [6, 30, 94, 200])
+def test_truncated_exp_stops_at_rounding(depth):
+    eps = np.finfo(float).eps
+    for radius in (0.0, 1e-3, 0.5, 1.0, 5.0, 20.0):
+        w = radius * np.exp(2j * np.pi * np.arange(8) / 8)
+        got = _truncated_exp(w, depth)
+        assert got.shape == w.shape
+        for wi, gi in zip(w, got):
+            ref, scale = _taylor_reference(complex(wi), depth)
+            assert abs(gi - ref) <= 4.0 * eps * scale, (complex(wi), depth)
+
+
+def test_truncated_exp_cap_and_scalar():
+    # At |w| = 3 the degree-6 cap ends the sum long before rounding does:
+    # the value is the polynomial, far from exp(w).
+    w = 3.0 * np.exp(1j * np.array([0.0, 1.0, 2.5]))
+    got = _truncated_exp(w, 6)
+    for wi, gi in zip(w, got):
+        ref, scale = _taylor_reference(complex(wi), 6)
+        assert abs(gi - ref) <= 4.0 * np.finfo(float).eps * scale
+        assert abs(gi - np.exp(wi)) > 1e-2
+    # A scalar gives a complex scalar, the same as its entry in an array.
+    one = _truncated_exp(0.3 - 0.4j, 30)
+    assert isinstance(one, complex) and not isinstance(one, np.ndarray)
+    assert one == _truncated_exp(np.array([0.3 - 0.4j]), 30)[0]
+
+
+def test_increment_series_twist_rows(toy_scheme):
+    ts = np.array([5.0, 100.0, 2500.0, 1.0e4])
+    for alphas in (np.array([-1.0, 0.5]), np.array([-0.3, 0.0, 0.25 + 0.1j])):
+        for j in (2, 3):
+            rows = increment_series_eval(toy_scheme, j, alphas, ts, 500.0)
+            assert len(rows) == alphas.size
+            for a, row in zip(alphas, rows):
+                assert np.array_equal(row, increment_series_eval(toy_scheme, j, a, ts, 500.0))
 
 
 def test_product_length_fraction_canonical():

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zetalab import dirpoly, inequality
+from zetalab.critline import eval_grid
+from zetalab.dirpoly import increment_series_eval
 from zetalab.errors import ConfigError, DomainError
 from zetalab.inequality import (
     InterpolationConfig,
@@ -15,7 +18,7 @@ from zetalab.inequality import (
     write_interpolation_csv,
 )
 from zetalab.moments import MomentRequest, joint_moment_on_grids, moment_grids
-from zetalab.primes import E_SQUARED, custom_scheme, sieve_primes
+from zetalab.primes import E_SQUARED, custom_scheme, prime_sum_at, sieve_primes
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +98,63 @@ def test_bound_random_k_and_t(toy_scheme, k, t):
         for target in ("zeta", "hardyZ"):
             lhs, rhs = interpolation_sides(t, cfg, target)
             assert lhs <= rhs
+
+
+def _sides_reference(t, cfg, target):
+    """(lhs, rhs) composed term by term: one increment_series_eval call per
+    twist and range, one prime_sum_at call per range for its weight."""
+    grid = eval_grid(t)
+    za = np.abs(grid.Z)
+    dz2 = grid.dabs2(target)
+    k = cfg.k
+    ranges = range(2, cfg.scheme.ell + 1)
+    factors = {
+        alpha: [np.abs(increment_series_eval(cfg.scheme, j, alpha, t, cfg.c_omega)) ** 2
+                for j in ranges]
+        for alpha in (k - 2.0, k - 1.0)
+    }
+
+    def product(alpha, stop):
+        out = np.ones(t.shape)
+        for f in factors[alpha][: stop - 2]:
+            out = out * f
+        return out
+
+    top = cfg.scheme.ell + 1
+    rhs = (2.0 * k * za**2 * dz2 * product(k - 2.0, top)
+           + (4.0 - 2.0 * k) * dz2 * product(k - 1.0, top))
+    for v in ranges:
+        pv = cfg.scheme.variance(v)
+        psum = np.abs(prime_sum_at(cfg.scheme, v, 0.5 + 1j * t))
+        logw = 2.0 * inequality.penalty_exponent(cfg, v) * (np.log(psum) - math.log(cfg.c_p * pv))
+        second = product(k - 1.0, top if cfg.variant == "full_product" else v)
+        rhs = rhs + (2.0 * k * za**2 * dz2 * product(k - 2.0, v)
+                     + (4.0 - 2.0 * k) * dz2 * second) * np.exp(logw)
+    return za ** (2.0 * k - 2.0) * dz2, rhs
+
+
+def test_sides_match_per_twist_composition(toy_scheme, monkeypatch):
+    t = np.sort(np.random.default_rng(8).uniform(100.0, 1.0e4, 300))
+    for k in (1.0, 1.5, 2.0):
+        for variant in ("full_product", "partial_product"):
+            cfg = InterpolationConfig(k=k, scheme=toy_scheme, variant=variant)
+            for target in ("zeta", "hardyZ"):
+                lhs_ref, rhs_ref = _sides_reference(t, cfg, target)
+                lhs, rhs = interpolation_sides_grid(t, cfg, target)
+                assert np.array_equal(lhs, lhs_ref)
+                assert np.max(np.abs(rhs - rhs_ref) / rhs_ref) <= 1e-14
+                assert np.array_equal(lhs <= rhs, lhs_ref <= rhs_ref)
+    # One prime sum per range for both twists, one for the penalty weight.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return prime_sum_at(*args)
+
+    monkeypatch.setattr(inequality, "prime_sum_at", counted)
+    monkeypatch.setattr(dirpoly, "prime_sum_at", counted)
+    interpolation_sides_grid(t, InterpolationConfig(k=1.5, scheme=toy_scheme))
+    assert len(calls) <= 2 * (toy_scheme.ell - 1)
 
 
 def test_rhs_monotone_in_penalty_terms(toy_scheme):
