@@ -619,13 +619,12 @@ def _main_sum_setup(n_max: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray
     log_n = np.log(ns.astype(float))
     comp = ns[level[2] :]
     f = spf[comp]
+    phase = -1j * log_n[level[1] : level[2]]
+    factors = np.stack([pos[f], pos[comp // f]])
     w = 2.0 / np.sqrt(ns)
-    arrays = (ns, -1j * log_n[level[1] : level[2]], np.stack([pos[f], pos[comp // f]]),
-              np.stack([w, w * log_n]))
-    # Every block of this length shares the arrays.
-    for arr in arrays:
+    weights = np.stack([w, w * log_n])
+    for arr in (ns, phase, factors, weights):  # shared by every block of this length
         arr.flags.writeable = False
-    ns, phase, factors, weights = arrays
     return ns, tuple(level.tolist()), phase, factors, weights
 
 
