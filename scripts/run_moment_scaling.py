@@ -8,6 +8,7 @@ toward slope = k^2 + 2h is slow; the table is descriptive.
 
 import argparse
 
+from zetalab import critline
 from zetalab.csvio import write_csv
 from zetalab.moments import scaling_report
 
@@ -17,7 +18,7 @@ def main() -> None:
     ap.add_argument("--heights", default="1e3,3e3,1e4,3e4", help="comma list of T")
     ap.add_argument("--ks", default="1,1.5,2")
     ap.add_argument("--hs", default="0,0.5,1")
-    ap.add_argument("--target", default="zeta", choices=("zeta", "hardyZ"))
+    ap.add_argument("--target", default="zeta", choices=critline.TARGETS)
     ap.add_argument("--out", default="moment_scaling.csv")
     args = ap.parse_args()
 

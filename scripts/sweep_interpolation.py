@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from zetalab.inequality import InterpolationConfig, check_interpolation
+from zetalab.critline import TARGETS
+from zetalab.inequality import VARIANTS, InterpolationConfig, check_interpolation
 from zetalab.primes import E_SQUARED, custom_scheme, sieve_primes
 
 
@@ -31,8 +32,8 @@ def main() -> None:
 
     print(f"{'k':>5} {'variant':>16} {'target':>7} {'failures':>8} {'min margin':>12}")
     for k in np.linspace(1.0, 2.0, 11):
-        for variant in ("full_product", "partial_product"):
-            for target in ("zeta", "hardyZ"):
+        for variant in VARIANTS:
+            for target in TARGETS:
                 cfg = InterpolationConfig(k=float(k), scheme=scheme, variant=variant)
                 rep = check_interpolation(ts, cfg, target)
                 print(

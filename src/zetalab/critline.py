@@ -545,12 +545,6 @@ def _rs_corrections(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return g, dg
 
 
-def _rs_c(k: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C_k(p) and its p-derivative from the parity-folded model."""
-    g, dg = _rs_corrections(np.asarray(p, dtype=float))
-    return g[k], dg[k]
-
-
 def rs_error_estimate(t: float) -> float:
     """Calibrated absolute-error cap for the Riemann-Siegel value of Z."""
     roundoff = RS_ROUNDOFF_COEF * sys.float_info.epsilon * t * math.log(t)
@@ -798,39 +792,44 @@ def eval_grid(t: np.ndarray, workers: int = 1) -> GridData:
 # ---------------------------------------------------------------------------
 
 
-def z_oracle(t: float) -> float:
-    """Z(t) through the Gamma phase and Euler-Maclaurin zeta; any t >= 0."""
-    theta = theta_gamma(t)
-    zeta, _ = zeta_em(0.5 + 1j * t)
-    return float((np.exp(1j * theta) * zeta).real)
+def z_oracle(t):
+    """Z(t) through the Gamma phase and Euler-Maclaurin zeta; any t >= 0,
+    scalar or array (a scalar gives a float)."""
+    ts = np.asarray(t, dtype=float)
+    zeta, _, _ = zeta_em_vec(0.5 + 1j * ts)
+    z = (np.exp(1j * theta_gamma(ts)) * zeta).real
+    return z if np.ndim(t) else float(z)
 
 
-def count_sign_changes(
-    t0: float, t1: float, step: float = 0.05, refine_tol: float = 1.0e-9
-) -> tuple[int, list[float]]:
+# Bracket width at which count_sign_changes stops bisecting.
+REFINE_TOL = 1.0e-9
+
+
+def count_sign_changes(t0: float, t1: float, step: float = 0.05) -> tuple[int, list[float]]:
     """Count sign changes of Z on [t0, t1] by grid scan plus bisection.
 
     Uses the oracle path only, so the count is independent of the
-    Riemann-Siegel machinery it is used to validate.
+    Riemann-Siegel machinery it is used to validate.  All brackets are
+    bisected in lockstep, one z_oracle call per step; each stops once its
+    width is within REFINE_TOL.
     """
     grid = np.arange(t0, t1 + step, step)
     grid = grid[grid <= t1]
-    zeta, _, _ = zeta_em_line(grid)
-    vals = (np.exp(1j * theta_gamma(grid)) * zeta).real
-    zeros: list[float] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            zeros.append(float(grid[i]))
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = float(vals[i])
-            while hi - lo > refine_tol:
-                mid = 0.5 * (lo + hi)
-                fmid = z_oracle(mid)
-                if flo * fmid <= 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            zeros.append(0.5 * (lo + hi))
+    vals = z_oracle(grid)
+    left, right = vals[:-1], vals[1:]
+    exact = left == 0.0
+    bracket = left * right < 0.0
+    lo, hi, flo = grid[:-1][bracket], grid[1:][bracket], left[bracket]
+    active = np.flatnonzero(hi - lo > REFINE_TOL)
+    while active.size:
+        mid = 0.5 * (lo[active] + hi[active])
+        fmid = z_oracle(mid)
+        down = flo[active] * fmid <= 0.0
+        hi[active[down]] = mid[down]
+        up = active[~down]
+        lo[up], flo[up] = mid[~down], fmid[~down]
+        active = active[hi[active] - lo[active] > REFINE_TOL]
+    found = grid[:-1].copy()
+    found[bracket] = 0.5 * (lo + hi)
+    zeros = found[exact | bracket].tolist()
     return len(zeros), zeros

@@ -4,10 +4,11 @@ Coefficients are kept in a dict keyed by n (arbitrary-precision ints, since
 increment supports reach n ~ p^80).  The increment factor over a prime range
 carries the weight alpha^Omega(n) * prod 1/(m_i!) below an Omega cutoff;
 term-by-term this is identical to the degree-capped Taylor series of
-exp(alpha * sum_p p^-s), which the fast evaluation path exploits and
-exp_identity_gap verifies.  The fast path takes any number of twists alpha
-from one prime sum, and its Taylor sum stops once the remaining terms are
-below rounding, so a cap K far above |alpha P_j| costs nothing.
+exp(alpha * sum_p p^-s), which exp_identity_gap verifies.  The interpolation
+bound uses that identity as its fast path: one prime sum P_j(1/2 + it) per
+range, and truncated_exp of alpha P_j at degree floor(cutoff * P_j) for each
+twist.  The Taylor sum stops once the remaining terms are below rounding, so
+a cap far above |alpha P_j| costs nothing.
 """
 
 from __future__ import annotations
@@ -194,31 +195,7 @@ def poly_product(
     return DirichletPoly(acc, bound)
 
 
-def increment_series_eval(
-    scheme: IncrementScheme,
-    j: int,
-    alpha: complex | np.ndarray,
-    t: np.ndarray,
-    omega_cutoff: float = 500.0,
-) -> np.ndarray | list[np.ndarray]:
-    """Fast evaluation of the increment factor on a t grid.
-
-    Because the coefficients are exactly the multinomial expansion of
-    exp(alpha P_j(s)) capped at Omega <= K, the value equals the degree-K
-    Taylor polynomial of exp at alpha P_j(1/2+it); K = floor(cutoff * P_j).
-    alpha is one twist or a 1-d array of twists; an array gives a list with
-    one row per twist, all from one prime sum, each row equal to its
-    one-twist call.
-    """
-    t = np.asarray(t, dtype=float)
-    k_max = int(math.floor(omega_cutoff * scheme.variance(j)))
-    psum = prime_sum_at(scheme, j, 0.5 + 1j * t)
-    if np.ndim(alpha):
-        return [_truncated_exp(a * psum, k_max) for a in alpha]
-    return _truncated_exp(alpha * psum, k_max)
-
-
-def _truncated_exp(w, depth: int):
+def truncated_exp(w, depth: int):
     """Degree-`depth` Taylor polynomial of exp at w, a scalar or an array.
 
     The terms w^m / m! are added in place and the sum stops at its rounding
@@ -261,7 +238,7 @@ def exp_identity_gap(
     coeffs = _enumerate_coeffs(ps, complex(alpha), taylor_depth, DEFAULT_TERM_CAP)
     poly = DirichletPoly.from_coeffs(coeffs)
     lhs = poly_eval(poly, t)
-    rhs = _truncated_exp(alpha * prime_sum_at(scheme, j, complex(0.5, t)), taylor_depth)
+    rhs = truncated_exp(alpha * prime_sum_at(scheme, j, complex(0.5, t)), taylor_depth)
     return float(abs(lhs - rhs))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .critline import eval_grid
 from .csvio import write_csv
-from .dirpoly import increment_series_eval
+from .dirpoly import truncated_exp
 from .errors import ConfigError, DomainError
 from .moments import MomentEstimate
 from .primes import IncrementScheme, prime_sum_at
@@ -60,33 +60,15 @@ def penalty_exponent(cfg: InterpolationConfig, v: int) -> int:
     return math.ceil(cfg.c_p * cfg.scheme.variance(v) * (1.0 + 1.0e-12))
 
 
-def _increment_products(
-    cfg: InterpolationConfig, alpha: np.ndarray, t: np.ndarray
-) -> tuple[list[np.ndarray], list[list[np.ndarray]]]:
-    """|N_j(s; alpha)|^2 for all increments: full product and prefix products,
-    one row per twist in alpha.
-
-    prefix[v-2] holds the product over 2 <= j < v; the full product is the
-    final prefix extended by the last factor.
-    """
-    scheme = cfg.scheme
-    prefix: list[list[np.ndarray]] = []
-    running = [np.ones(t.shape) for _ in alpha]
-    for j in range(2, scheme.ell + 1):
-        prefix.append(running)
-        vals = increment_series_eval(scheme, j, alpha, t, cfg.c_omega)
-        running = [r * np.abs(v) ** 2 for r, v in zip(running, vals)]
-    return running, prefix
-
-
 def interpolation_sides_grid(
     t: np.ndarray, cfg: InterpolationConfig, target: str = "zeta"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector (lhs, rhs) of the pointwise bound over an ascending grid.
 
-    Both twists k - 2 and k - 1 come from one prime sum per range, so each
-    range's P_v(1/2 + it) is summed twice: once for the twists and once for
-    the penalty weight.
+    One pass over the ranges: each range's prime sum P_v(1/2 + it) gives its
+    penalty weight and both increment factors |N_v(k - 2)|^2, |N_v(k - 1)|^2,
+    which extend the running products; the prefix products before range v
+    are kept for its penalty term.
     """
     t = np.asarray(t, dtype=float)
     grid = eval_grid(t)
@@ -95,24 +77,29 @@ def interpolation_sides_grid(
     k = cfg.k
     lhs = za ** (2.0 * k - 2.0) * dz2
 
-    (full_m2, full_m1), prefix = _increment_products(cfg, np.array([k - 2.0, k - 1.0]), t)
-    fourth = 2.0 * k * za**2 * dz2
-    second = (4.0 - 2.0 * k) * dz2
-    rhs = fourth * full_m2 + second * full_m1
-
     scheme = cfg.scheme
+    prod_m2 = prod_m1 = np.ones(t.shape)
+    penalties = []  # (prefix k - 2, prefix k - 1, weight) per range with P_v > 0
     for v in range(2, scheme.ell + 1):
         pv = scheme.variance(v)
-        if pv == 0.0:
-            continue
-        m_v = penalty_exponent(cfg, v)
-        psum = np.abs(prime_sum_at(scheme, v, 0.5 + 1j * t))
-        # Penalty in log space: the exponent 2 ceil(c_p P_v) can be large.
-        with np.errstate(divide="ignore"):
-            logw = 2.0 * m_v * (np.log(psum) - math.log(cfg.c_p * pv))
-        weight = np.where(psum > 0.0, np.exp(logw), 0.0)
-        twist_m1 = full_m1 if cfg.variant == "full_product" else prefix[v - 2][1]
-        rhs = rhs + (fourth * prefix[v - 2][0] + second * twist_m1) * weight
+        psum = prime_sum_at(scheme, v, 0.5 + 1j * t)
+        if pv != 0.0:
+            m_v = penalty_exponent(cfg, v)
+            apsum = np.abs(psum)
+            # Penalty in log space: the exponent 2 ceil(c_p P_v) can be large.
+            with np.errstate(divide="ignore"):
+                logw = 2.0 * m_v * (np.log(apsum) - math.log(cfg.c_p * pv))
+            penalties.append((prod_m2, prod_m1, np.where(apsum > 0.0, np.exp(logw), 0.0)))
+        depth = int(math.floor(cfg.c_omega * pv))
+        prod_m2 = prod_m2 * np.abs(truncated_exp((k - 2.0) * psum, depth)) ** 2
+        prod_m1 = prod_m1 * np.abs(truncated_exp((k - 1.0) * psum, depth)) ** 2
+
+    fourth = 2.0 * k * za**2 * dz2
+    second = (4.0 - 2.0 * k) * dz2
+    rhs = fourth * prod_m2 + second * prod_m1
+    for pre_m2, pre_m1, weight in penalties:
+        twist_m1 = prod_m1 if cfg.variant == "full_product" else pre_m1
+        rhs = rhs + (fourth * pre_m2 + second * twist_m1) * weight
     return lhs, rhs
 
 

@@ -5,6 +5,13 @@ sampled by the composite midpoint rule on a mesh tied to the mean zero gap.
 Midpoint is deliberate: fractional powers of |zeta| have cusps at the zeros,
 which defeat higher-order rules, while midpoint never samples the cusp tips
 and degrades gracefully.
+
+The mesh-halving error estimate covers smooth integrands only.  In the
+paper's range (1 <= k <= 2, 0 <= h <= 1) those are the pairs with
+k - h in {0, 1, 2}, i.e. e1 = 2k - 2h in {0, 2, 4}; every other pair has a
+cusp |Z|^e1 at each zero, and the estimate can fall short of the error.
+For the "hardyZ" target h must also be 0 or 1, since |Z'|^(2h) has a cusp
+at each zero of Z'.
 """
 
 from __future__ import annotations

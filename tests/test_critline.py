@@ -9,7 +9,7 @@ from zetalab.critline import (
     _MAIN_SUM_SETUPS,
     _chebyshev_basis,
     _main_sum_setup,
-    _rs_c,
+    _rs_corrections,
     _rs_models,
     count_sign_changes,
     critical_sample,
@@ -281,8 +281,9 @@ def test_rs_correction_models_match_mpmath():
                         sum(num * d[order + j] / (den * mpmath.pi**power)
                             for num, den, power, order in terms)
                     )
+    g, dg = _rs_corrections(ps)
     for k in range(len(_C_TERMS)):
-        ck, ckp = _rs_c(k, ps)
+        ck, ckp = g[k], dg[k]
         assert np.max(np.abs(ck - ref[k, 0])) <= 1e-12, k
         assert np.max(np.abs(ckp - ref[k, 1])) <= 1e-12, k
 
@@ -301,7 +302,8 @@ def test_rs_series_match_per_series_clenshaw():
 
 def _rs_reference(ts):
     """Riemann-Siegel Z and Z' with the main sum taken term by term, one cos
-    and one sin per (height, n), and the corrections assembled from _rs_c."""
+    and one sin per (height, n), and the corrections assembled from the rows
+    of _rs_corrections."""
     theta, theta_p = theta_pair_vec(ts)
     tau = ts / TWO_PI
     a = np.sqrt(tau)
@@ -316,8 +318,8 @@ def _rs_reference(ts):
     p = a - n_row
     corr = np.zeros_like(ts)
     dcorr = np.zeros_like(ts)  # d/dt of sum_k C_k(p) tau^{-k/2}
-    for k in range(5):
-        ck, ckp = _rs_c(k, p)
+    g, dg = _rs_corrections(p)
+    for k, (ck, ckp) in enumerate(zip(g, dg)):
         corr += ck * tau ** (-0.5 * k)
         dcorr += ckp / (4.0 * math.pi * a) * tau ** (-0.5 * k)
         dcorr -= 0.5 * k * ck * tau ** (-0.5 * k - 1.0) / TWO_PI
@@ -449,6 +451,15 @@ def test_sample_rotation_identity_random(t):
     if abs(s.Z) > 1e-3:
         recon = s.Z_prime**2 + s.theta_prime**2 * s.Z**2
         assert abs(s.zeta_prime) ** 2 == pytest.approx(recon, rel=1e-6)
+
+
+def test_z_oracle_array_matches_scalar():
+    ts = np.array([0.0, 14.1, 50.5, 1000.25, 9999.0])
+    vals = z_oracle(ts)
+    assert vals.shape == ts.shape
+    for t, v in zip(ts, vals):
+        one = z_oracle(float(t))
+        assert isinstance(one, float) and one == v
 
 
 def test_sign_changes_to_100():

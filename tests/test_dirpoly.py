@@ -8,21 +8,20 @@ from hypothesis import given, settings, strategies as st
 from zetalab.dirpoly import (
     DirichletPoly,
     MultiplicativeSpec,
-    _truncated_exp,
     big_omega,
     build_increment_poly,
     exp_identity_gap,
     factorize,
-    increment_series_eval,
     poly_eval,
     poly_eval_grid,
     poly_product,
     product_length_fraction,
     read_poly_csv,
+    truncated_exp,
     write_poly_csv,
 )
 from zetalab.errors import CapacityError, DomainError
-from zetalab.primes import E_SQUARED, custom_scheme, sieve_primes
+from zetalab.primes import E_SQUARED, custom_scheme, prime_sum_at, sieve_primes
 
 
 @pytest.fixture(scope="module")
@@ -160,10 +159,13 @@ def test_exp_identity_gap_examples(toy_scheme):
 
 
 def test_increment_series_matches_polynomial(toy_scheme):
+    # The increment polynomial capped at Omega <= K equals the degree-K Taylor
+    # polynomial of exp(alpha P_j(1/2 + it)), K = floor(cutoff * P_j).
     ts = np.array([5.0, 100.0, 2500.0])
     for j, alpha in ((2, -1.0), (3, -0.5), (2, 0.25 + 0.1j)):
         cutoff = 3.0 / toy_scheme.variance(j)
-        series = increment_series_eval(toy_scheme, j, alpha, ts, cutoff)
+        depth = math.floor(cutoff * toy_scheme.variance(j))
+        series = truncated_exp(alpha * prime_sum_at(toy_scheme, j, 0.5 + 1j * ts), depth)
         poly = build_increment_poly(
             toy_scheme, MultiplicativeSpec(alpha=alpha, j=j, omega_cutoff=cutoff)
         )
@@ -186,7 +188,7 @@ def test_truncated_exp_stops_at_rounding(depth):
     eps = np.finfo(float).eps
     for radius in (0.0, 1e-3, 0.5, 1.0, 5.0, 20.0):
         w = radius * np.exp(2j * np.pi * np.arange(8) / 8)
-        got = _truncated_exp(w, depth)
+        got = truncated_exp(w, depth)
         assert got.shape == w.shape
         for wi, gi in zip(w, got):
             ref, scale = _taylor_reference(complex(wi), depth)
@@ -197,25 +199,15 @@ def test_truncated_exp_cap_and_scalar():
     # At |w| = 3 the degree-6 cap ends the sum long before rounding does:
     # the value is the polynomial, far from exp(w).
     w = 3.0 * np.exp(1j * np.array([0.0, 1.0, 2.5]))
-    got = _truncated_exp(w, 6)
+    got = truncated_exp(w, 6)
     for wi, gi in zip(w, got):
         ref, scale = _taylor_reference(complex(wi), 6)
         assert abs(gi - ref) <= 4.0 * np.finfo(float).eps * scale
         assert abs(gi - np.exp(wi)) > 1e-2
     # A scalar gives a complex scalar, the same as its entry in an array.
-    one = _truncated_exp(0.3 - 0.4j, 30)
+    one = truncated_exp(0.3 - 0.4j, 30)
     assert isinstance(one, complex) and not isinstance(one, np.ndarray)
-    assert one == _truncated_exp(np.array([0.3 - 0.4j]), 30)[0]
-
-
-def test_increment_series_twist_rows(toy_scheme):
-    ts = np.array([5.0, 100.0, 2500.0, 1.0e4])
-    for alphas in (np.array([-1.0, 0.5]), np.array([-0.3, 0.0, 0.25 + 0.1j])):
-        for j in (2, 3):
-            rows = increment_series_eval(toy_scheme, j, alphas, ts, 500.0)
-            assert len(rows) == alphas.size
-            for a, row in zip(alphas, rows):
-                assert np.array_equal(row, increment_series_eval(toy_scheme, j, a, ts, 500.0))
+    assert one == truncated_exp(np.array([0.3 - 0.4j]), 30)[0]
 
 
 def test_product_length_fraction_canonical():

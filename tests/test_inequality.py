@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zetalab import dirpoly, inequality
+from zetalab import inequality
 from zetalab.critline import eval_grid
-from zetalab.dirpoly import increment_series_eval
+from zetalab.dirpoly import truncated_exp
 from zetalab.errors import ConfigError, DomainError
 from zetalab.inequality import (
     InterpolationConfig,
@@ -101,18 +101,20 @@ def test_bound_random_k_and_t(toy_scheme, k, t):
 
 
 def _sides_reference(t, cfg, target):
-    """(lhs, rhs) composed term by term: one increment_series_eval call per
-    twist and range, one prime_sum_at call per range for its weight."""
+    """(lhs, rhs) composed term by term: one prime_sum_at and one
+    truncated_exp call per twist and range, one prime_sum_at call per range
+    for its weight."""
     grid = eval_grid(t)
     za = np.abs(grid.Z)
     dz2 = grid.dabs2(target)
     k = cfg.k
     ranges = range(2, cfg.scheme.ell + 1)
-    factors = {
-        alpha: [np.abs(increment_series_eval(cfg.scheme, j, alpha, t, cfg.c_omega)) ** 2
-                for j in ranges]
-        for alpha in (k - 2.0, k - 1.0)
-    }
+
+    def factor(alpha, j):
+        depth = math.floor(cfg.c_omega * cfg.scheme.variance(j))
+        return np.abs(truncated_exp(alpha * prime_sum_at(cfg.scheme, j, 0.5 + 1j * t), depth)) ** 2
+
+    factors = {alpha: [factor(alpha, j) for j in ranges] for alpha in (k - 2.0, k - 1.0)}
 
     def product(alpha, stop):
         out = np.ones(t.shape)
@@ -144,7 +146,7 @@ def test_sides_match_per_twist_composition(toy_scheme, monkeypatch):
                 assert np.array_equal(lhs, lhs_ref)
                 assert np.max(np.abs(rhs - rhs_ref) / rhs_ref) <= 1e-14
                 assert np.array_equal(lhs <= rhs, lhs_ref <= rhs_ref)
-    # One prime sum per range for both twists, one for the penalty weight.
+    # One prime sum per range, for both twists and the penalty weight.
     calls = []
 
     def counted(*args):
@@ -152,9 +154,25 @@ def test_sides_match_per_twist_composition(toy_scheme, monkeypatch):
         return prime_sum_at(*args)
 
     monkeypatch.setattr(inequality, "prime_sum_at", counted)
-    monkeypatch.setattr(dirpoly, "prime_sum_at", counted)
     interpolation_sides_grid(t, InterpolationConfig(k=1.5, scheme=toy_scheme))
-    assert len(calls) <= 2 * (toy_scheme.ell - 1)
+    assert len(calls) == toy_scheme.ell - 1
+
+
+def test_empty_ranges_change_nothing():
+    # Ranges holding no prime have P_v = 0: no penalty term and an increment
+    # factor of exactly 1, so the sides equal those of the scheme without them.
+    table = sieve_primes(100)
+    gapped = custom_scheme(1.0e5, [E_SQUARED, 8.0, 10.0, 30.0], table)
+    plain = custom_scheme(1.0e5, [E_SQUARED, 30.0], table)
+    assert gapped.variance(2) == gapped.variance(3) == 0.0
+    t = np.sort(np.random.default_rng(9).uniform(100.0, 1.0e4, 300))
+    for k in (1.0, 1.5, 2.0):
+        for variant in inequality.VARIANTS:
+            cfgs = [InterpolationConfig(k=k, scheme=s, variant=variant) for s in (gapped, plain)]
+            for target in ("zeta", "hardyZ"):
+                got, want = (interpolation_sides_grid(t, cfg, target) for cfg in cfgs)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
 
 
 def test_rhs_monotone_in_penalty_terms(toy_scheme):
