@@ -90,7 +90,7 @@ def interpolation_sides_grid(
             with np.errstate(divide="ignore"):
                 logw = 2.0 * m_v * (np.log(apsum) - math.log(cfg.c_p * pv))
             penalties.append((prod_m2, prod_m1, np.where(apsum > 0.0, np.exp(logw), 0.0)))
-        depth = int(math.floor(cfg.c_omega * pv))
+        depth = math.floor(cfg.c_omega * pv)
         prod_m2 = prod_m2 * np.abs(truncated_exp((k - 2.0) * psum, depth)) ** 2
         prod_m1 = prod_m1 * np.abs(truncated_exp((k - 1.0) * psum, depth)) ** 2
 
