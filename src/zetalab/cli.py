@@ -6,7 +6,8 @@ All randomness flows through a counter-based Philox generator seeded by
 in a fixed order, so identical configs give byte-identical CSV output at
 any worker count.
 
-Exit codes: 0 ok, 2 config error, 3 numeric regime error, 4 capacity error.
+Exit codes: 0 ok, 2 config error (also non-finite flags and unreadable files),
+3 numeric regime error, 4 capacity error.
 """
 
 from __future__ import annotations
@@ -33,8 +34,12 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
     out: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -72,6 +77,8 @@ def _parse_boundaries(text: str) -> list[float]:
         raise ConfigError(f"bad boundary list {text!r}: {exc}") from None
     if len(values) < 2:
         raise ConfigError("boundary list needs at least two values")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"boundary list {text!r} has a non-finite entry")
     return values
 
 
@@ -80,7 +87,10 @@ def _load_poly(spec: str) -> tuple[str, dirpoly.DirichletPoly]:
         return "one", dirpoly.DirichletPoly.one()
     if spec == "one_plus_2":
         return "one_plus_2", dirpoly.DirichletPoly.from_coeffs({1: 1.0, 2: 1.0})
-    return Path(spec).stem, dirpoly.read_poly_csv(spec)
+    try:
+        return Path(spec).stem, dirpoly.read_poly_csv(spec)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --poly file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +119,8 @@ def _cmd_eval(args) -> int:
         step = moments.mean_zero_gap(args.t_max) / args.points_per_gap
     elif not step > 0.0:
         raise ConfigError(f"--step must be positive, got {step}")
+    if args.t_max > critline.MAX_HEIGHT:
+        raise DomainError(f"--t-max must be at most {critline.MAX_HEIGHT:g}, got {args.t_max:g}")
     count = int(math.ceil((args.t_max - args.t_min) / step))
     ts = args.t_min + (np.arange(count) + 0.5) * step
     grid = critline.eval_grid(ts, workers=args.workers)
@@ -412,6 +424,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config:
             args = _apply_config_file(args, parser, argv)
+        for key, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         if args.out is None:

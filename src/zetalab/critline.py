@@ -561,14 +561,10 @@ def rs_error_estimate(t: float) -> float:
 # does real work when eval_grid threads run side by side.
 _MAIN_SUM_BUDGET = 1 << 17
 
-# Heights per block of the correction terms: the (14, block) Chebyshev basis
-# stays under 1 MB.  Fixed, unlike the main-sum blocks, whose row count falls
-# as N grows and would add per-call overhead here.
-_CORRECTION_BLOCK = 1 << 13
-
-# Heights per eval_grid piece; pieces are cut at fixed offsets of the grid,
-# so the result does not depend on how many threads share them.
-_GRID_PIECE = 1 << 15
+# Heights per eval_grid piece: the (14, piece) Chebyshev basis of the
+# correction terms stays under 1 MB.  Pieces are cut at fixed offsets of the
+# grid, so the result does not depend on how many threads share them.
+_GRID_PIECE = 1 << 13
 
 
 @lru_cache(maxsize=1)
@@ -679,21 +675,17 @@ def _hardy_grid(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     n_floor = np.floor(a)
     z, zp = _main_sum(t, theta, theta_p, n_floor)
 
-    # Corrections (-1)^(N-1) tau^{-1/4} sum_k C_k(p) r^k with r = tau^{-1/2},
-    # by Horner in r; dp/dt = r / (4 pi) and dr/dt = -r^3 / (4 pi).
+    # Corrections (-1)^(N-1) tau^{-1/4} sum_k C_k(p) r^k with r = tau^{-1/2};
+    # dp/dt = r / (4 pi) and dr/dt = -r^3 / (4 pi).  The rows, weighted in
+    # place by r^k, sum to sum C_k r^k, sum C_k' r^k and sum k C_k r^k.
     p = a - n_floor
     r = 1.0 / a
-    corr = np.zeros_like(t)  # sum C_k r^k
-    corr_p = np.zeros_like(t)  # sum C_k' r^k
-    corr_k = np.zeros_like(t)  # sum k C_k r^k
-    for lo in range(0, t.size, _CORRECTION_BLOCK):
-        block = slice(lo, lo + _CORRECTION_BLOCK)
-        ck, ckp = _rs_corrections(p[block])
-        rb = r[block]
-        for k in range(ck.shape[0] - 1, -1, -1):
-            for total, term in ((corr, ck[k]), (corr_p, ckp[k]), (corr_k, k * ck[k])):
-                total[block] *= rb
-                total[block] += term
+    ck, ckp = _rs_corrections(p)
+    k = np.arange(ck.shape[0])[:, None]
+    rk = r**k
+    ck *= rk
+    ckp *= rk
+    corr, corr_p, corr_k = ck.sum(axis=0), ckp.sum(axis=0), (k * ck).sum(axis=0)
     q = np.sqrt(r)  # tau^{-1/4}
     q[np.mod(n_floor, 2.0) == 0.0] *= -1.0  # (-1)^(N-1)
     z += q * corr

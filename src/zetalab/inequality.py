@@ -41,7 +41,7 @@ class InterpolationConfig:
     def __post_init__(self) -> None:
         if not 1.0 <= self.k <= 2.0:
             raise DomainError(f"k must lie in [1, 2], got {self.k}")
-        if self.c_omega <= 0.0 or self.c_p <= 0.0:
+        if not (self.c_omega > 0.0 and self.c_p > 0.0):
             raise DomainError("cutoff constants must be positive")
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}, got {self.variant!r}")

@@ -49,7 +49,7 @@ class MomentRequest:
             raise DomainError(f"T must lie in [{T_MIN:g}, {T_MAX:g}], got {self.T}")
         if not self.k > 0.0:
             raise DomainError(f"k must be positive, got {self.k}")
-        if self.h < 0.0 or self.h > self.k + 0.5:
+        if not 0.0 <= self.h <= self.k + 0.5:
             raise DomainError(
                 f"h = {self.h} outside [0, k + 1/2] = [0, {self.k + 0.5}]"
             )

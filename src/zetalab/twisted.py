@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critline import RS_MIN_T, TARGETS, TWO_PI, eval_grid, zeta_em_vec
+from .critline import MAX_HEIGHT, RS_MIN_T, TARGETS, TWO_PI, eval_grid, zeta_em_vec
 from .csvio import write_csv
 from .dirpoly import DirichletPoly, factorize, poly_eval_grid
 from .errors import CapacityError, DomainError, TruncationError
@@ -440,6 +440,14 @@ def _zeta2_model(rho: float, n: int) -> np.ndarray:
     return coeffs
 
 
+def _finite_real(value: complex, T: float) -> float:
+    """Real part of a contour sum; its Mellin factors overflow to inf or nan
+    for T far above desk scale."""
+    if not math.isfinite(value.real):
+        raise DomainError(f"contour sum is not finite at T = {T:g}")
+    return float(value.real)
+
+
 def contour_second_moment(
     a: DirichletPoly,
     T: float,
@@ -483,8 +491,7 @@ def contour_second_moment(
         # difference is already inside (z1^2 - z2^2)^2.
         core = (z1[:, None] ** 2 - z2[None, :] ** 2) ** 2 * m0
     core = fgrid * zgrid * core / (z1[:, None] ** 3 * z2[None, :] ** 3)
-    total = complex(core.sum()) / n**2
-    return float(total.real)
+    return _finite_real(complex(core.sum()) / n**2, T)
 
 
 def contour_fourth_moment(
@@ -574,8 +581,7 @@ def contour_fourth_moment(
             bracket = -(e3**2) * m0
         pair = (a1[:, None, :] * a2[None, :, :]).reshape(n * n, n)
         total += np.sum(w12 * pair * w34 * _inv_zeta2(u, den) * bracket)
-    value = g_const * total / (4.0 * n**4)
-    return float(value.real)
+    return _finite_real(g_const * total / (4.0 * n**4), T)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +612,8 @@ def direct_mesh(
         raise DomainError(f"weight must be one of {tuple(WEIGHTS)}, got {weight!r}")
     if not phi.support[0] * T >= RS_MIN_T:
         raise DomainError(f"the cutoff's support must start at t >= {RS_MIN_T:g}, got T = {T:g}")
+    if not phi.support[1] * T <= MAX_HEIGHT:
+        raise DomainError(f"the cutoff's support must end at t <= {MAX_HEIGHT:g}, got T = {T:g}")
     if points_per_gap is not None:
         if points_per_gap < 1:
             raise DomainError("points_per_gap must be >= 1")

@@ -90,9 +90,19 @@ def test_twisted_command(tmp_path):
 
 
 def test_exit_codes(tmp_path):
-    regime = run_cli(["moments", "--T", "10", "--k", "1", "--h", "0"], tmp_path)
-    assert regime.returncode == 3, regime.stderr
-    assert "kind=regime" in regime.stderr
+    for args in (
+        ["moments", "--T", "10", "--k", "1", "--h", "0"],
+        ["twisted", "--T", "2e3", "--points-per-gap", "0"],
+        # Heights above 1e7, caught before a grid is built.
+        ["eval", "--t-min", "100", "--t-max", "1e300", "--step", "0.05"],
+        ["twisted", "--T", "1e300", "--method", "direct"],
+        # The contour sums overflow.
+        ["twisted", "--T", "1e300", "--method", "contour", "--weight", "dzeta2"],
+        ["twisted", "--T", "1e300", "--method", "contour", "--weight", "Z2dZ2"],
+    ):
+        regime = run_cli(args, tmp_path)
+        assert regime.returncode == 3, regime.stderr
+        assert "kind=regime" in regime.stderr
     capacity = run_cli(["scheme", "--T", "1e5", "--threshold", "0.5",
                         "--sieve-limit", "2000000000"], tmp_path)
     assert capacity.returncode == 4, capacity.stderr
@@ -114,6 +124,17 @@ def test_exit_codes(tmp_path):
         ["twisted", "--T", "-5", "--method", "contour", "--weight", "dzeta2"],
         ["moments", "--T", "1e3", "--k", "1", "--h", "0", "--workers", "0"],
         ["moments", "--T", "1e3", "--k", "1", "--h", "0", "--workers", "-3"],
+        # Non-finite flags and boundaries.
+        ["eval", "--t-min", "100", "--t-max", "inf", "--step", "0.05"],
+        ["eval", "--t-min", "100", "--t-max", "101", "--step", "inf"],
+        ["moments", "--T", "1e4", "--k", "1", "--h", "nan"],
+        ["twisted", "--T", "inf", "--method", "direct"],
+        ["inequality", "--t-max", "inf"],
+        ["inequality", "--c-omega", "nan"],
+        ["scheme", "--T", "1e5", "--boundaries", "7.4,14,inf", "--sieve-limit", "100"],
+        # Unreadable input files.
+        ["eval", "--t-min", "100", "--t-max", "101", "--config", str(tmp_path / "missing.cfg")],
+        ["twisted", "--T", "2e3", "--poly", str(tmp_path / "missing.csv")],
     ):
         bad = run_cli(args, tmp_path)
         assert bad.returncode == 2, bad.stderr
@@ -122,9 +143,6 @@ def test_exit_codes(tmp_path):
     direct = run_cli(["twisted", "--T", "2e3", "--method", "direct", "--nodes", "8",
                       "--out", str(tmp_path / "tw.csv")], tmp_path)
     assert direct.returncode == 0, direct.stderr
-    no_mesh = run_cli(["twisted", "--T", "2e3", "--points-per-gap", "0"], tmp_path)
-    assert no_mesh.returncode == 3, no_mesh.stderr
-    assert "kind=regime" in no_mesh.stderr
 
 
 def test_config_file_flags_win(tmp_path):
@@ -173,12 +191,13 @@ def test_config_file_errors(tmp_path):
     )
     assert res2.returncode == 2, res2.stderr
     assert "kind=config" in res2.stderr
-    cfg.write_text("points_per_gap = many\n")
-    res3 = run_cli(
-        ["eval", "--t-min", "100", "--t-max", "101", "--config", str(cfg)], tmp_path
-    )
-    assert res3.returncode == 2, res3.stderr
-    assert "kind=config" in res3.stderr
+    for text in ("points_per_gap = many\n", "step = nan\n"):
+        cfg.write_text(text)
+        res3 = run_cli(
+            ["eval", "--t-min", "100", "--t-max", "101", "--config", str(cfg)], tmp_path
+        )
+        assert res3.returncode == 2, res3.stderr
+        assert "kind=config" in res3.stderr
 
 
 def test_main_callable_in_process(tmp_path):

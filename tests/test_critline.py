@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab.critline import (
     RS_ROUNDOFF_COEF,
+    _GRID_PIECE,
     _MAIN_SUM_SETUPS,
     _chebyshev_basis,
     _main_sum_setup,
@@ -483,9 +484,9 @@ def test_eval_grid_matches_scalar_and_workers():
     s = critical_sample(float(ts[700]))
     assert g1.Z[700] == pytest.approx(s.Z, abs=1e-12)
     assert g1.Z_prime[700] == pytest.approx(s.Z_prime, abs=1e-12)
-    # Across several 2^15-point pieces the bytes do not depend on the
-    # number of threads that share them.
-    ts = 1.0e4 + (np.arange(3 * (1 << 15) + 4321) + 0.5) * 0.01
+    # Across several pieces the bytes do not depend on the number of
+    # threads that share them.
+    ts = 1.0e4 + (np.arange(3 * _GRID_PIECE + 4321) + 0.5) * 0.01
     g1 = eval_grid(ts, workers=1)
     g4 = eval_grid(ts, workers=4)
     assert np.array_equal(g1.Z, g4.Z)

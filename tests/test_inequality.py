@@ -40,6 +40,8 @@ def test_config_validation(toy_scheme):
         InterpolationConfig(k=1.5, scheme=toy_scheme, variant="bogus")
     with pytest.raises(DomainError):
         InterpolationConfig(k=1.5, scheme=toy_scheme, c_p=-1.0)
+    with pytest.raises(DomainError):
+        InterpolationConfig(k=1.5, scheme=toy_scheme, c_omega=float("nan"))
 
 
 def test_penalty_exponent_exact(toy_scheme):

@@ -80,3 +80,31 @@ def test_public_names_have_callers():
             if not called:
                 unused.append(stmt.name)
     assert sorted(unused) == sorted(KEPT)
+
+
+def _reachable(tree: ast.Module, roots: tuple[str, ...]) -> set[str]:
+    """Module-level functions of tree reachable from roots through the names
+    their bodies use; imported functions are not followed."""
+    defs = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    seen: set[str] = set()
+    todo = list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(
+                node.id for node in ast.walk(defs[name])
+                if isinstance(node, ast.Name) and node.id in defs
+            )
+    return seen
+
+
+def test_fast_path_and_oracle_share_no_code():
+    # The Riemann-Siegel route and the Euler-Maclaurin oracle check each
+    # other only while neither calls a function of critline the other calls.
+    tree = ast.parse(SOURCES["critline"])
+    fast = _reachable(tree, ("_hardy_grid",))
+    oracle = _reachable(tree, ("zeta_em_vec", "theta_gamma", "theta_gamma_prime"))
+    assert {"_main_sum", "_rs_corrections", "theta_pair_vec"} <= fast
+    assert {"_zeta_em_core", "_lgamma_vec", "_digamma_vec"} <= oracle
+    assert fast.isdisjoint(oracle), sorted(fast & oracle)

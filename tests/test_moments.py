@@ -31,6 +31,8 @@ def test_request_validation():
     with pytest.raises(DomainError):
         MomentRequest(T=1e4, k=1.0, h=-0.1)
     with pytest.raises(DomainError):
+        MomentRequest(T=1e4, k=1.0, h=float("nan"))
+    with pytest.raises(DomainError):
         MomentRequest(T=1e4, k=1.0, h=0.0, target="bogus")
 
 
