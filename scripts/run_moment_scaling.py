@@ -19,6 +19,8 @@ def main() -> None:
     ap.add_argument("--ks", default="1,1.5,2")
     ap.add_argument("--hs", default="0,0.5,1")
     ap.add_argument("--target", default="zeta", choices=critline.TARGETS)
+    ap.add_argument("--points-per-gap", type=int, default=None,
+                    help="override the mesh rule (bandwidth, or 20 per gap for cusp pairs)")
     ap.add_argument("--out", default="moment_scaling.csv")
     args = ap.parse_args()
 
@@ -28,7 +30,7 @@ def main() -> None:
         for h in (float(x) for x in args.hs.split(",")):
             if h > k + 0.5:
                 continue
-            rep = scaling_report(heights, k, h, args.target)
+            rep = scaling_report(heights, k, h, args.target, args.points_per_gap)
             print(
                 f"k={k:4.2f} h={h:4.2f}: slope={rep.slope:7.3f} "
                 f"(predicted {rep.predicted_exponent:4.2f}) ratios="

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from zetalab.critline import TARGETS
+from zetalab.critline import TARGETS, eval_grid
 from zetalab.inequality import VARIANTS, InterpolationConfig, check_interpolation
 from zetalab.primes import E_SQUARED, custom_scheme, sieve_primes
 
@@ -28,14 +28,15 @@ def main() -> None:
     table = sieve_primes(10_000)
     scheme = custom_scheme(1.0e5, [float(x) for x in args.boundaries.split(",")], table)
     rng = np.random.Generator(np.random.Philox(args.seed))
-    ts = np.sort(rng.uniform(args.t_min, args.t_max, args.samples))
+    # One Riemann-Siegel grid serves every (k, variant, target).
+    grid = eval_grid(np.sort(rng.uniform(args.t_min, args.t_max, args.samples)))
 
     print(f"{'k':>5} {'variant':>16} {'target':>7} {'failures':>8} {'min margin':>12}")
     for k in np.linspace(1.0, 2.0, 11):
         for variant in VARIANTS:
             for target in TARGETS:
                 cfg = InterpolationConfig(k=float(k), scheme=scheme, variant=variant)
-                rep = check_interpolation(ts, cfg, target)
+                rep = check_interpolation(grid, cfg, target)
                 print(
                     f"{k:5.2f} {variant:>16} {target:>7} "
                     f"{rep.failures.size:8d} {rep.min_margin:12.4e}"

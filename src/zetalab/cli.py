@@ -28,6 +28,9 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_CAPACITY = 4
 
+# Rows of one `eval` grid: 40 bytes each in memory, about 100 in the CSV.
+EVAL_MAX_ROWS = 10_000_000
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -122,6 +125,8 @@ def _cmd_eval(args) -> int:
     if args.t_max > critline.MAX_HEIGHT:
         raise DomainError(f"--t-max must be at most {critline.MAX_HEIGHT:g}, got {args.t_max:g}")
     count = int(math.ceil((args.t_max - args.t_min) / step))
+    if count > EVAL_MAX_ROWS:
+        raise CapacityError(f"eval grid of {count:.3g} rows exceeds the cap of {EVAL_MAX_ROWS:.3g}")
     ts = args.t_min + (np.arange(count) + 0.5) * step
     grid = critline.eval_grid(ts, workers=args.workers)
     columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
@@ -382,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--target", choices=critline.TARGETS, default="zeta")
-    p.add_argument("--points-per-gap", type=int, default=20)
+    p.add_argument("--points-per-gap", type=int, default=None,
+                   help="override the mesh rule (bandwidth, or 20 per gap for cusp pairs)")
     p.set_defaults(func=_cmd_moments, default_out="moments.csv")
 
     p = sub.add_parser("inequality", help="pointwise interpolation bound over sampled heights")

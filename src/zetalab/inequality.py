@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .critline import eval_grid
+from .critline import GridData, eval_grid
 from .csvio import write_csv
 from .dirpoly import truncated_exp
 from .errors import ConfigError, DomainError
@@ -61,17 +61,19 @@ def penalty_exponent(cfg: InterpolationConfig, v: int) -> int:
 
 
 def interpolation_sides_grid(
-    t: np.ndarray, cfg: InterpolationConfig, target: str = "zeta"
+    t: np.ndarray | GridData, cfg: InterpolationConfig, target: str = "zeta"
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vector (lhs, rhs) of the pointwise bound over an ascending grid.
+    """Vector (lhs, rhs) of the pointwise bound over an ascending grid, given
+    as heights or as their `eval_grid` samples (which several configurations
+    can then share).
 
     One pass over the ranges: each range's prime sum P_v(1/2 + it) gives its
     penalty weight and both increment factors |N_v(k - 2)|^2, |N_v(k - 1)|^2,
     which extend the running products; the prefix products before range v
     are kept for its penalty term.
     """
-    t = np.asarray(t, dtype=float)
-    grid = eval_grid(t)
+    grid = t if isinstance(t, GridData) else eval_grid(np.asarray(t, dtype=float))
+    t = grid.t
     za = np.abs(grid.Z)
     dz2 = grid.dabs2(target)
     k = cfg.k
@@ -136,13 +138,15 @@ class InterpolationReport:
 
 
 def check_interpolation(
-    grid: np.ndarray, cfg: InterpolationConfig, target: str = "zeta"
+    grid: np.ndarray | GridData, cfg: InterpolationConfig, target: str = "zeta"
 ) -> InterpolationReport:
-    """Pointwise pass/fail over a grid; failures are data, not exceptions."""
-    grid = np.sort(np.asarray(grid, dtype=float))
+    """Pointwise pass/fail over heights (sorted here) or an `eval_grid`
+    result; failures are data, not exceptions."""
+    if not isinstance(grid, GridData):
+        grid = eval_grid(np.sort(np.asarray(grid, dtype=float)))
     lhs, rhs = interpolation_sides_grid(grid, cfg, target)
     margin = rhs - lhs
-    return InterpolationReport(grid, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
+    return InterpolationReport(grid.t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
 
 
 def write_interpolation_csv(report: InterpolationReport, path) -> None:
@@ -185,7 +189,7 @@ def verify_holder(
         raise ConfigError("moment estimates must share T and k")
     if len({r.target for r in reqs}) != 1:
         raise ConfigError("moment estimates must share the target")
-    if len({r.points_per_gap for r in reqs}) != 1:
+    if len({est.mesh for est in (m_k0, m_k1, m_kh)}) != 1:
         raise ConfigError("moment estimates must share the mesh")
     if (m_k0.request.h, m_k1.request.h, m_kh.request.h) != (0.0, 1.0, h):
         raise ConfigError("estimates must carry h = 0, 1, and the tested h")

@@ -1,17 +1,28 @@
 """Joint-moment quadrature over [T, 2T] and scaling reports.
 
 The integrand |zeta|^(2k-2h) |zeta'|^(2h) (or the Hardy-Z version) is
-sampled by the composite midpoint rule on a mesh tied to the mean zero gap.
+sampled by the composite midpoint rule on the mesh of `moment_mesh`.
 Midpoint is deliberate: fractional powers of |zeta| have cusps at the zeros,
 which defeat higher-order rules, while midpoint never samples the cusp tips
-and degrades gracefully.
+and degrades gracefully.  There are two routes, by the pair (k, h).
 
-The mesh-halving error estimate covers smooth integrands only.  In the
-paper's range (1 <= k <= 2, 0 <= h <= 1) those are the pairs with
-k - h in {0, 1, 2}, i.e. e1 = 2k - 2h in {0, 2, 4}; every other pair has a
-cusp |Z|^e1 at each zero, and the estimate can fall short of the error.
-For the "hardyZ" target h must also be 0 or 1, since |Z'|^(2h) has a cusp
-at each zero of Z'.
+Band-limited pairs have h in {0, 1} and e1 = 2k - 2h in {0, 2, 4}; in the
+paper's range (1 <= k <= 2, 0 <= h <= 1) they are (1, 0), (2, 0), (1, 1) and
+(2, 1), for either target.  The integrand is then a product of 2k factors Z,
+Z' or theta' Z, each with local frequencies up to (1/2) log(t / 2 pi), so it
+is band-limited to Omega = k log(2T / 2 pi) on [T, 2T], and the midpoint sum
+errs only by its endpoint series
+    (H^2 / 24)(f'(2T) - f'(T)) - (7 H^4 / 5760)(f'''(2T) - f'''(T)) + ...
+(Trefethen and Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Review 56, 2014).  The mesh is H = pi / (2 Omega), twice the Nyquist
+rate, the value adds the two endpoint terms above, and the size of the H^4
+term is the error estimate, so no second grid is built.
+
+Every other pair keeps 20 points per mean zero gap and an estimate of twice
+the mesh-halving difference.  That estimate covers smooth integrands only:
+in the paper's range every pair with e1 not in {0, 2, 4} has a cusp |Z|^e1
+at each zero, where it can fall short of the error, and for the "hardyZ"
+target |Z'|^(2h) also has a cusp at each zero of Z' unless h is 0 or 1.
 """
 
 from __future__ import annotations
@@ -31,6 +42,15 @@ T_MAX = 1.0e7
 # Floor applied to |Z| only when a negative power is requested (h > k).
 ABS_FLOOR = 1.0e-8
 
+# Mesh of the pairs that are not band-limited, in points per mean zero gap.
+CUSP_POINTS_PER_GAP = 20
+
+# Endpoint derivatives of band-limited integrands: a Chebyshev interpolant
+# through this many Chebyshev-Lobatto points on a window [T, T + w] and
+# [2T - w, 2T], with w = _END_WINDOW / Omega (about 1/4 for (1, 0) at 1e4).
+_END_POINTS = 33
+_END_WINDOW = 2.0
+
 
 def mean_zero_gap(T: float) -> float:
     return TWO_PI / math.log(T / TWO_PI)
@@ -42,7 +62,7 @@ class MomentRequest:
     k: float
     h: float
     target: str = "zeta"
-    points_per_gap: int = 20
+    points_per_gap: int | None = None
 
     def __post_init__(self) -> None:
         if not T_MIN <= self.T <= T_MAX:
@@ -55,7 +75,7 @@ class MomentRequest:
             )
         if self.target not in TARGETS:
             raise DomainError(f"target must be one of {tuple(TARGETS)}, got {self.target!r}")
-        if self.points_per_gap < 1:
+        if self.points_per_gap is not None and self.points_per_gap < 1:
             raise DomainError("points_per_gap must be >= 1")
 
 
@@ -69,6 +89,35 @@ class MomentEstimate:
     capped: bool = False
 
 
+def _bandwidth(T: float, k: float, h: float) -> float | None:
+    """Omega = k log(2T / 2 pi) for a band-limited pair, None otherwise."""
+    if h in (0.0, 1.0) and 2.0 * k - 2.0 * h in (0.0, 2.0, 4.0):
+        return k * math.log(2.0 * T / TWO_PI)
+    return None
+
+
+def moment_mesh(
+    T: float, k: float, h: float, target: str = "zeta", points_per_gap: int | None = None
+) -> float:
+    """Nominal midpoint mesh of `joint_moment`.
+
+    pi / (2 Omega) for a band-limited pair (see the module docstring; about
+    4.4 k points per mean zero gap at T = 1e4), mean_zero_gap(T) / 20 for
+    every other pair.  points_per_gap, if given, overrides the rule with
+    mean_zero_gap(T) / points_per_gap.
+    """
+    if target not in TARGETS:
+        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+    if points_per_gap is not None:
+        if points_per_gap < 1:
+            raise DomainError("points_per_gap must be >= 1")
+        return mean_zero_gap(T) / points_per_gap
+    omega = _bandwidth(T, k, h)
+    if omega is None:
+        return mean_zero_gap(T) / CUSP_POINTS_PER_GAP
+    return math.pi / (2.0 * omega)
+
+
 def _midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float]:
     """Midpoints of the fewest equal panels of [lo, hi] no wider than mesh,
     and the panel width."""
@@ -78,12 +127,14 @@ def _midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float
 
 
 def moment_grids(
-    T: float, points_per_gap: int = 20, workers: int = 1
+    T: float, points_per_gap: int = CUSP_POINTS_PER_GAP, workers: int = 1
 ) -> tuple[GridData, GridData]:
-    """Critical-line samples at the working mesh and at half mesh.
+    """Critical-line samples at points_per_gap per mean zero gap and at half
+    that mesh.
 
     Built once per (T, mesh) and shared by every moment request at that T;
-    the half-mesh grid feeds the error estimate.
+    the half-mesh grid feeds the error estimate of the pairs that are not
+    band-limited.
     """
     nominal = mean_zero_gap(T) / points_per_gap
     ts, _ = _midpoint_grid(T, 2.0 * T, nominal)
@@ -102,11 +153,73 @@ def _integrand(grid: GridData, req: MomentRequest) -> tuple[np.ndarray, bool]:
     return za**e1 * dz2**req.h, capped
 
 
+def _endpoint_rule(req: MomentRequest, mesh: float) -> bool:
+    """Whether the endpoint-corrected route applies: a band-limited pair on a
+    mesh no coarser than its rule."""
+    omega = _bandwidth(req.T, req.k, req.h)
+    return omega is not None and mesh <= math.pi / (2.0 * omega) * (1.0 + 1.0e-12)
+
+
+def _end_weights() -> np.ndarray:
+    """Weights w[m, e] with p^(m)(e) = w[m, e] @ v, for the polynomial p of
+    degree n through values v at x_j = -cos(j pi / n), j = 0..n, for the
+    first and third derivative (m = 0, 1) at e = -1 and e = 1.
+
+    The Chebyshev coefficients of p are (-1)^k times those of the values
+    read at cos(j pi / n), a discrete cosine transform; for odd orders
+    T_k^(m)(e) = e^(k+1) T_k^(m)(1), with T_k'(1) = k^2 and
+    T_k'''(1) = k^2 (k^2 - 1)(k^2 - 4) / 15.
+    """
+    n = _END_POINTS - 1
+    k = np.arange(n + 1)
+    coef = np.cos(np.outer(k, k) * (math.pi / n)) * (2.0 / n)
+    coef[:, [0, n]] *= 0.5
+    coef[[0, n], :] *= 0.5
+    coef *= ((-1.0) ** k)[:, None]
+    k2 = k * k
+    at_one = np.stack([k2, k2 * (k2 - 1.0) * (k2 - 4.0) / 15.0])
+    signs = np.stack([(-1.0) ** (k + 1), np.ones(n + 1)])
+    return (at_one[:, None, :] * signs[None, :, :]) @ coef
+
+
+def _end_derivatives(req: MomentRequest) -> tuple[np.ndarray, np.ndarray]:
+    """(f'(T), f'(2T)) and (f'''(T), f'''(2T)) of the integrand, each from the
+    Chebyshev interpolant on a window inside [T, 2T] at that end."""
+    width = _END_WINDOW / _bandwidth(req.T, req.k, req.h)
+    nodes = 0.5 - 0.5 * np.cos(np.arange(_END_POINTS) * math.pi / (_END_POINTS - 1))
+    ts = np.concatenate([req.T + width * nodes, 2.0 * req.T - width + width * nodes])
+    vals, _ = _integrand(eval_grid(ts), req)
+    lo, hi = vals.reshape(2, _END_POINTS)
+    w = _end_weights()
+    d1 = 2.0 / width * np.array([w[0, 0] @ lo, w[0, 1] @ hi])
+    d3 = (2.0 / width) ** 3 * np.array([w[1, 0] @ lo, w[1, 1] @ hi])
+    return d1, d3
+
+
+def _corrected_moment(req: MomentRequest, grid: GridData) -> MomentEstimate:
+    """Midpoint value on grid plus the two endpoint terms, with the size of
+    the H^4 term as the relative error estimate."""
+    vals, capped = _integrand(grid, req)
+    panels = grid.t.size
+    mesh = req.T / panels
+    d1, d3 = _end_derivatives(req)
+    h4_coef = 7.0 * mesh**4 / 5760.0
+    value = float(
+        np.sum(vals) * mesh + mesh**2 / 24.0 * (d1[1] - d1[0]) - h4_coef * (d3[1] - d3[0])
+    )
+    est = h4_coef * float(np.sum(np.abs(d3))) / value if value > 0.0 else 0.0
+    return MomentEstimate(value, mesh, panels, est, req, capped)
+
+
 def joint_moment_on_grids(
     req: MomentRequest, grid: GridData, grid_half: GridData
 ) -> MomentEstimate:
-    """Midpoint value on grid, with 2 |I_h - I_{h/2}| / I_{h/2} as its
-    relative error estimate.
+    """Moment on shared grids (see `moment_grids`).
+
+    A band-limited pair on a grid no coarser than its rule's mesh takes the
+    endpoint-corrected route on grid alone, and grid_half goes unused.  Any
+    other request gets the midpoint value on grid with
+    2 |I_h - I_{h/2}| / I_{h/2} as its relative error estimate.
 
     The midpoint error of a smooth integrand is c h^2, so the mesh-halving
     difference is only 3/4 of the error of I_h; twice the difference bounds
@@ -116,10 +229,12 @@ def joint_moment_on_grids(
     (k, h) = (1.5, 0.75) reports 0.31 of its true error (0.16 before the
     doubling).
     """
-    vals, capped = _integrand(grid, req)
-    vals_half, _ = _integrand(grid_half, req)
     panels = grid.t.size
     mesh = req.T / panels
+    if _endpoint_rule(req, mesh):
+        return _corrected_moment(req, grid)
+    vals, capped = _integrand(grid, req)
+    vals_half, _ = _integrand(grid_half, req)
     value = float(np.sum(vals) * mesh)
     value_half = float(np.sum(vals_half) * (req.T / grid_half.t.size))
     est = 2.0 * abs(value - value_half) / value_half if value_half > 0.0 else 0.0
@@ -127,9 +242,15 @@ def joint_moment_on_grids(
 
 
 def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
-    """Composite midpoint value of the joint moment with a mesh-halving
-    relative error estimate (see joint_moment_on_grids)."""
-    grid, grid_half = moment_grids(req.T, req.points_per_gap, workers)
+    """Joint moment on the mesh of `moment_mesh`: one grid and the endpoint
+    terms for a band-limited pair, the grids of `moment_grids` otherwise (see
+    joint_moment_on_grids)."""
+    mesh = moment_mesh(req.T, req.k, req.h, req.target, req.points_per_gap)
+    if _endpoint_rule(req, mesh):
+        ts, _ = _midpoint_grid(req.T, 2.0 * req.T, mesh)
+        return _corrected_moment(req, eval_grid(ts, workers=workers))
+    points_per_gap = req.points_per_gap or CUSP_POINTS_PER_GAP
+    grid, grid_half = moment_grids(req.T, points_per_gap, workers)
     return joint_moment_on_grids(req, grid, grid_half)
 
 
@@ -156,7 +277,7 @@ def scaling_report(
     k: float,
     h: float,
     target: str = "zeta",
-    points_per_gap: int = 20,
+    points_per_gap: int | None = None,
     workers: int = 1,
 ) -> ScalingReport:
     """Ratios against T (log T)^(k^2+2h) plus a least-squares log-log slope.

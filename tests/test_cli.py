@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -62,6 +63,22 @@ def test_moments_command(tmp_path):
     assert "ratio_to_conjectured_power" in out.read_text().splitlines()[0]
 
 
+def test_moments_command_mesh_rule(tmp_path):
+    # Without --points-per-gap, (1, 0) is on the bandwidth mesh of
+    # moment_mesh; with it, on mean_zero_gap(T) / N.
+    from zetalab.moments import mean_zero_gap, moment_mesh
+
+    for extra, mesh in (([], moment_mesh(1.0e3, 1.0, 0.0)),
+                        (["--points-per-gap", "20"], mean_zero_gap(1.0e3) / 20)):
+        out = tmp_path / "m.csv"
+        res = run_cli(["moments", "--T", "1e3", "--k", "1", "--h", "0", "--out", str(out)]
+                      + extra, tmp_path)
+        assert res.returncode == 0, res.stderr
+        header, row = out.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert int(fields["panels"]) == math.ceil(1.0e3 / mesh)
+
+
 def test_inequality_command(tmp_path):
     out = tmp_path / "iq.csv"
     res = run_cli(
@@ -105,6 +122,10 @@ def test_exit_codes(tmp_path):
         assert "kind=regime" in regime.stderr
     capacity = run_cli(["scheme", "--T", "1e5", "--threshold", "0.5",
                         "--sieve-limit", "2000000000"], tmp_path)
+    assert capacity.returncode == 4, capacity.stderr
+    assert "kind=capacity" in capacity.stderr
+    # 1e16 rows, refused before any array is made.
+    capacity = run_cli(["eval", "--t-min", "100", "--t-max", "1e7", "--step", "1e-9"], tmp_path)
     assert capacity.returncode == 4, capacity.stderr
     assert "kind=capacity" in capacity.stderr
     badflag = run_cli(["moments", "--T", "1e3", "--k", "1"], tmp_path)  # missing --h

@@ -17,7 +17,7 @@ from zetalab.inequality import (
     verify_holder,
     write_interpolation_csv,
 )
-from zetalab.moments import MomentRequest, joint_moment_on_grids, moment_grids
+from zetalab.moments import MomentRequest, joint_moment, joint_moment_on_grids, moment_grids
 from zetalab.primes import E_SQUARED, custom_scheme, prime_sum_at, sieve_primes
 
 
@@ -205,6 +205,24 @@ def test_check_interpolation_report(toy_scheme, tmp_path):
     assert all(line.endswith(",1") for line in lines[1:])
 
 
+def test_shared_grid_matches_heights(toy_scheme):
+    # A GridData of the heights gives the same bits as the heights, for
+    # every configuration that shares it.
+    ts = np.sort(np.random.default_rng(4).uniform(1.0e4, 1.01e4, 200))
+    grid = eval_grid(ts)
+    for k in (1.0, 1.7):
+        for variant in inequality.VARIANTS:
+            cfg = InterpolationConfig(k=k, scheme=toy_scheme, variant=variant)
+            for target in ("zeta", "hardyZ"):
+                by_grid = interpolation_sides_grid(grid, cfg, target)
+                by_heights = interpolation_sides_grid(ts, cfg, target)
+                assert np.array_equal(by_grid[0], by_heights[0])
+                assert np.array_equal(by_grid[1], by_heights[1])
+                rep = check_interpolation(grid, cfg, target)
+                assert rep.t is grid.t
+                assert np.array_equal(rep.margin, by_heights[1] - by_heights[0])
+
+
 def test_check_interpolation_empty(toy_scheme):
     rep = check_interpolation(np.array([]), InterpolationConfig(k=1.5, scheme=toy_scheme))
     assert rep.t.size == 0
@@ -243,3 +261,17 @@ def test_verify_holder_mismatch(grids_1e3):
         verify_holder(m1, m0, m0, 0.5)  # h fields out of place
     with pytest.raises(ConfigError):
         verify_holder(m0, m1, m0, 1.5)
+
+def test_verify_holder_compares_meshes(grids_1e3):
+    # Under the mesh rule, (1, 0) and (1, 1) are band-limited and get the
+    # bandwidth mesh while (1, 0.5) gets 20 points/gap: the triple does not
+    # share a mesh, though every request leaves points_per_gap at None.
+    m0, m1, mh = (joint_moment(MomentRequest(1.0e3, 1.0, h)) for h in (0.0, 1.0, 0.5))
+    assert m0.mesh == m1.mesh != mh.mesh
+    with pytest.raises(ConfigError):
+        verify_holder(m0, m1, mh, 0.5)
+    # The same triple on shared grids, as in the Hoelder sweep, passes.
+    shared = [joint_moment_on_grids(MomentRequest(1.0e3, 1.0, h), *grids_1e3)
+              for h in (0.0, 1.0, 0.5)]
+    rep = verify_holder(*shared, 0.5)
+    assert rep.holds

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from zetalab.critline import TWO_PI, eval_grid
 from zetalab.errors import ConfigError, DomainError
 from zetalab.moments import (
     MomentRequest,
@@ -11,6 +12,7 @@ from zetalab.moments import (
     joint_moment_on_grids,
     mean_zero_gap,
     moment_grids,
+    moment_mesh,
     scaling_report,
     write_moment_csv,
 )
@@ -66,10 +68,11 @@ def test_targets_identical_at_h0(grids_1e3):
 
 
 def test_k_equals_h_drops_first_factor(grids_1e3):
-    # 2k - 2h = 0: the integrand is |zeta'|^(2k) alone.
+    # 2k - 2h = 0: the integrand is |zeta'|^(2k) alone.  k = h = 1.5 takes
+    # the plain midpoint route; (1, 1) would add the endpoint terms.
     grid, grid_half = grids_1e3
-    est = joint_moment_on_grids(MomentRequest(1.0e3, 1.0, 1.0), grid, grid_half)
-    direct = float(np.sum(grid.dabs2("zeta")) * est.mesh)
+    est = joint_moment_on_grids(MomentRequest(1.0e3, 1.5, 1.5), grid, grid_half)
+    direct = float(np.sum(grid.dabs2("zeta") ** 1.5) * est.mesh)
     assert est.value == pytest.approx(direct, rel=1e-12)
 
 
@@ -145,3 +148,81 @@ def test_moment_csv(tmp_path, grids_1e3):
     fields = lines[1].split(",")
     assert float(fields[4]) == est.value
     assert float(fields[8]) == conjectured_power_ratio(est)
+
+
+BAND_LIMITED = ((1.0, 0.0), (2.0, 0.0), (1.0, 1.0), (2.0, 1.0))
+
+
+def _plain_midpoint_sums(T, points_per_gap, chunk=1 << 20):
+    """Midpoint sums of every band-limited pair and target with no endpoint
+    terms, on points_per_gap per mean zero gap, evaluated in chunks."""
+    panels = math.ceil(T / (mean_zero_gap(T) / points_per_gap))
+    step = T / panels
+    sums = {}
+    for lo in range(0, panels, chunk):
+        grid = eval_grid(T + (np.arange(lo, min(panels, lo + chunk)) + 0.5) * step)
+        za = np.abs(grid.Z)
+        for target in ("zeta", "hardyZ"):
+            dz2 = grid.dabs2(target)
+            for k, h in BAND_LIMITED:
+                part = float(np.sum(za ** (2.0 * k - 2.0 * h) * dz2**h))
+                sums[k, h, target] = sums.get((k, h, target), 0.0) + part
+    return {key: value * step for key, value in sums.items()}
+
+
+@pytest.mark.parametrize("T", [1.0e3, 1.0e4, TWO_PI * 40.0**2])
+def test_rule_estimate_covers_error(T):
+    # The reference shares no code with the endpoint terms: the Richardson
+    # extrapolation (4 I_320 - I_160) / 3 of plain midpoint sums at 160 and
+    # 320 points/gap, which removes their own H^2 endpoint error (at 160
+    # points/gap alone that error reaches 0.8 of the estimate for (2, 0) at
+    # 2 pi 40^2).  At T = 2 pi 40^2 the lower fit window starts at a jump of
+    # the Riemann-Siegel main-sum length.
+    coarse, fine = _plain_midpoint_sums(T, 160), _plain_midpoint_sums(T, 320)
+    for (k, h, target), value in fine.items():
+        ref = (4.0 * value - coarse[k, h, target]) / 3.0
+        est = joint_moment(MomentRequest(T, k, h, target))
+        assert est.mesh == pytest.approx(moment_mesh(T, k, h), rel=2.0 / est.panels)
+        assert 0.0 < est.est_rel_error < 1.0e-6
+        assert abs(est.value - ref) / ref <= est.est_rel_error, (k, h, target)
+
+
+def test_moment_mesh_rule():
+    T = 1.0e4
+    omega = math.log(2.0 * T / TWO_PI)
+    assert moment_mesh(T, 1.0, 0.0) == math.pi / (2.0 * omega)
+    assert moment_mesh(T, 2.0, 1.0, "hardyZ") == math.pi / (4.0 * omega)
+    assert mean_zero_gap(T) / moment_mesh(T, 1.0, 1.0) == pytest.approx(4.4, abs=0.05)
+    for k, h in ((1.5, 0.75), (1.25, 0.0), (1.5, 0.5), (2.0, 0.5), (3.0, 2.0)):
+        assert moment_mesh(T, k, h) == mean_zero_gap(T) / 20
+    assert moment_mesh(T, 1.0, 0.0, points_per_gap=7) == mean_zero_gap(T) / 7
+    assert moment_mesh(T, 1.5, 0.75, points_per_gap=40) == mean_zero_gap(T) / 40
+    with pytest.raises(DomainError):
+        moment_mesh(T, 1.0, 0.0, points_per_gap=0)
+    with pytest.raises(DomainError):
+        moment_mesh(T, 1.0, 0.0, "bogus")
+
+
+def test_coarse_override_keeps_mesh_halving():
+    # 2 points/gap is coarser than the rule's 4 for (1, 0) at 1e3: the
+    # midpoint value on that mesh, with the mesh-halving estimate.
+    req = MomentRequest(1.0e3, 1.0, 0.0, points_per_gap=2)
+    est = joint_moment(req)
+    grid, grid_half = moment_grids(1.0e3, 2)
+    assert est.panels == grid.t.size
+    assert est.value == float(np.sum(grid.Z**2) * est.mesh)
+    assert est == joint_moment_on_grids(req, grid, grid_half)
+
+
+def test_cusp_route_unchanged():
+    # The 20/40 points/gap route, written out: midpoint value on 20
+    # points/gap and twice the relative mesh-halving difference.
+    req = MomentRequest(1.0e3, 1.5, 0.75)
+    est = joint_moment(req)
+    grid, grid_half = moment_grids(1.0e3, 20)
+    value = float(np.sum(np.abs(grid.Z) ** 1.5 * grid.dabs2("zeta") ** 0.75) * (1.0e3 / grid.t.size))
+    half = float(np.sum(np.abs(grid_half.Z) ** 1.5 * grid_half.dabs2("zeta") ** 0.75)
+                 * (1.0e3 / grid_half.t.size))
+    assert est.value == value
+    assert est.est_rel_error == 2.0 * abs(value - half) / half
+    assert est.panels == grid.t.size
