@@ -19,8 +19,6 @@ def main() -> None:
     ap.add_argument("--ks", default="1,1.5,2")
     ap.add_argument("--hs", default="0,0.5,1")
     ap.add_argument("--target", default="zeta", choices=critline.TARGETS)
-    ap.add_argument("--points-per-gap", type=int, default=None,
-                    help="override the mesh rule (bandwidth, or 20 per gap for cusp pairs)")
     ap.add_argument("--out", default="moment_scaling.csv")
     args = ap.parse_args()
 
@@ -30,7 +28,7 @@ def main() -> None:
         for h in (float(x) for x in args.hs.split(",")):
             if h > k + 0.5:
                 continue
-            rep = scaling_report(heights, k, h, args.target, args.points_per_gap)
+            rep = scaling_report(heights, k, h, args.target)
             print(
                 f"k={k:4.2f} h={h:4.2f}: slope={rep.slope:7.3f} "
                 f"(predicted {rep.predicted_exponent:4.2f}) ratios="

@@ -14,9 +14,13 @@ is band-limited to Omega = k log(2T / 2 pi) on [T, 2T], and the midpoint sum
 errs only by its endpoint series
     (H^2 / 24)(f'(2T) - f'(T)) - (7 H^4 / 5760)(f'''(2T) - f'''(T)) + ...
 (Trefethen and Weideman, "The exponentially convergent trapezoidal rule",
-SIAM Review 56, 2014).  The mesh is H = pi / (2 Omega), twice the Nyquist
-rate, the value adds the two endpoint terms above, and the size of the H^4
-term is the error estimate, so no second grid is built.
+SIAM Review 56, 2014), once H < 2 pi / Omega.  For a frequency near Omega
+each term of that series is about (H Omega / 2 pi)^2 times the one before.
+The mesh is H = pi / (2 Omega), twice the Nyquist rate pi / Omega (the
+mesh of `twisted.direct_mesh`, whose cutoff window has no endpoint terms),
+so that ratio is 1/16 and the H^6 term is about 1/15 of the H^4 term.  The
+value adds the two endpoint terms above, and the size of the H^4 term is
+the error estimate, so no second grid is built.
 
 Every other pair keeps 20 points per mean zero gap and an estimate of twice
 the mesh-halving difference.  That estimate covers smooth integrands only:
@@ -96,25 +100,19 @@ def _bandwidth(T: float, k: float, h: float) -> float | None:
     return None
 
 
-def moment_mesh(
-    T: float, k: float, h: float, target: str = "zeta", points_per_gap: int | None = None
-) -> float:
+def moment_mesh(req: MomentRequest) -> float:
     """Nominal midpoint mesh of `joint_moment`.
 
     pi / (2 Omega) for a band-limited pair (see the module docstring; about
     4.4 k points per mean zero gap at T = 1e4), mean_zero_gap(T) / 20 for
-    every other pair.  points_per_gap, if given, overrides the rule with
+    every other pair.  req.points_per_gap, if given, overrides the rule with
     mean_zero_gap(T) / points_per_gap.
     """
-    if target not in TARGETS:
-        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
-    if points_per_gap is not None:
-        if points_per_gap < 1:
-            raise DomainError("points_per_gap must be >= 1")
-        return mean_zero_gap(T) / points_per_gap
-    omega = _bandwidth(T, k, h)
+    if req.points_per_gap is not None:
+        return mean_zero_gap(req.T) / req.points_per_gap
+    omega = _bandwidth(req.T, req.k, req.h)
     if omega is None:
-        return mean_zero_gap(T) / CUSP_POINTS_PER_GAP
+        return mean_zero_gap(req.T) / CUSP_POINTS_PER_GAP
     return math.pi / (2.0 * omega)
 
 
@@ -153,11 +151,13 @@ def _integrand(grid: GridData, req: MomentRequest) -> tuple[np.ndarray, bool]:
     return za**e1 * dz2**req.h, capped
 
 
-def _endpoint_rule(req: MomentRequest, mesh: float) -> bool:
-    """Whether the endpoint-corrected route applies: a band-limited pair on a
-    mesh no coarser than its rule."""
+def _rule_bandwidth(req: MomentRequest, mesh: float) -> float | None:
+    """Omega when the endpoint-corrected route applies, a band-limited pair
+    on a mesh no coarser than its rule; None otherwise."""
     omega = _bandwidth(req.T, req.k, req.h)
-    return omega is not None and mesh <= math.pi / (2.0 * omega) * (1.0 + 1.0e-12)
+    if omega is None or mesh > math.pi / (2.0 * omega) * (1.0 + 1.0e-12):
+        return None
+    return omega
 
 
 def _end_weights() -> np.ndarray:
@@ -182,10 +182,10 @@ def _end_weights() -> np.ndarray:
     return (at_one[:, None, :] * signs[None, :, :]) @ coef
 
 
-def _end_derivatives(req: MomentRequest) -> tuple[np.ndarray, np.ndarray]:
+def _end_derivatives(req: MomentRequest, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """(f'(T), f'(2T)) and (f'''(T), f'''(2T)) of the integrand, each from the
     Chebyshev interpolant on a window inside [T, 2T] at that end."""
-    width = _END_WINDOW / _bandwidth(req.T, req.k, req.h)
+    width = _END_WINDOW / omega
     nodes = 0.5 - 0.5 * np.cos(np.arange(_END_POINTS) * math.pi / (_END_POINTS - 1))
     ts = np.concatenate([req.T + width * nodes, 2.0 * req.T - width + width * nodes])
     vals, _ = _integrand(eval_grid(ts), req)
@@ -196,13 +196,13 @@ def _end_derivatives(req: MomentRequest) -> tuple[np.ndarray, np.ndarray]:
     return d1, d3
 
 
-def _corrected_moment(req: MomentRequest, grid: GridData) -> MomentEstimate:
+def _corrected_moment(req: MomentRequest, grid: GridData, omega: float) -> MomentEstimate:
     """Midpoint value on grid plus the two endpoint terms, with the size of
     the H^4 term as the relative error estimate."""
     vals, capped = _integrand(grid, req)
     panels = grid.t.size
     mesh = req.T / panels
-    d1, d3 = _end_derivatives(req)
+    d1, d3 = _end_derivatives(req, omega)
     h4_coef = 7.0 * mesh**4 / 5760.0
     value = float(
         np.sum(vals) * mesh + mesh**2 / 24.0 * (d1[1] - d1[0]) - h4_coef * (d3[1] - d3[0])
@@ -229,12 +229,19 @@ def joint_moment_on_grids(
     (k, h) = (1.5, 0.75) reports 0.31 of its true error (0.16 before the
     doubling).
     """
-    panels = grid.t.size
-    mesh = req.T / panels
-    if _endpoint_rule(req, mesh):
-        return _corrected_moment(req, grid)
+    omega = _rule_bandwidth(req, req.T / grid.t.size)
+    if omega is not None:
+        return _corrected_moment(req, grid, omega)
+    return _halving_moment(req, grid, grid_half)
+
+
+def _halving_moment(req: MomentRequest, grid: GridData, grid_half: GridData) -> MomentEstimate:
+    """Midpoint value on grid with 2 |I_h - I_{h/2}| / I_{h/2} as its
+    relative error estimate."""
     vals, capped = _integrand(grid, req)
     vals_half, _ = _integrand(grid_half, req)
+    panels = grid.t.size
+    mesh = req.T / panels
     value = float(np.sum(vals) * mesh)
     value_half = float(np.sum(vals_half) * (req.T / grid_half.t.size))
     est = 2.0 * abs(value - value_half) / value_half if value_half > 0.0 else 0.0
@@ -243,15 +250,16 @@ def joint_moment_on_grids(
 
 def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
     """Joint moment on the mesh of `moment_mesh`: one grid and the endpoint
-    terms for a band-limited pair, the grids of `moment_grids` otherwise (see
-    joint_moment_on_grids)."""
-    mesh = moment_mesh(req.T, req.k, req.h, req.target, req.points_per_gap)
-    if _endpoint_rule(req, mesh):
-        ts, _ = _midpoint_grid(req.T, 2.0 * req.T, mesh)
-        return _corrected_moment(req, eval_grid(ts, workers=workers))
-    points_per_gap = req.points_per_gap or CUSP_POINTS_PER_GAP
-    grid, grid_half = moment_grids(req.T, points_per_gap, workers)
-    return joint_moment_on_grids(req, grid, grid_half)
+    terms for a band-limited pair, that grid and one at half its mesh
+    otherwise (see joint_moment_on_grids)."""
+    mesh = moment_mesh(req)
+    omega = _rule_bandwidth(req, mesh)
+    ts, _ = _midpoint_grid(req.T, 2.0 * req.T, mesh)
+    grid = eval_grid(ts, workers=workers)
+    if omega is not None:
+        return _corrected_moment(req, grid, omega)
+    ts_half, _ = _midpoint_grid(req.T, 2.0 * req.T, mesh / 2.0)
+    return _halving_moment(req, grid, eval_grid(ts_half, workers=workers))
 
 
 def conjectured_power_ratio(est: MomentEstimate) -> float:

@@ -605,8 +605,8 @@ def direct_mesh(
     the top of the cutoff's support.  Once 2 pi / h > Omega, the midpoint sum
     of the C-infinity window is exact up to the window's spectral tail
     (Trefethen and Weideman, SIAM Review 56, 2014); the mesh is pi / Omega,
-    twice the Nyquist rate.  points_per_gap, if given, overrides the rule
-    with mean_zero_gap(T) / points_per_gap.
+    the Nyquist rate, half that bound.  points_per_gap, if given, overrides
+    the rule with mean_zero_gap(T) / points_per_gap.
     """
     if weight not in WEIGHTS:
         raise DomainError(f"weight must be one of {tuple(WEIGHTS)}, got {weight!r}")

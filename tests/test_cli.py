@@ -66,9 +66,9 @@ def test_moments_command(tmp_path):
 def test_moments_command_mesh_rule(tmp_path):
     # Without --points-per-gap, (1, 0) is on the bandwidth mesh of
     # moment_mesh; with it, on mean_zero_gap(T) / N.
-    from zetalab.moments import mean_zero_gap, moment_mesh
+    from zetalab.moments import MomentRequest, mean_zero_gap, moment_mesh
 
-    for extra, mesh in (([], moment_mesh(1.0e3, 1.0, 0.0)),
+    for extra, mesh in (([], moment_mesh(MomentRequest(1.0e3, 1.0, 0.0))),
                         (["--points-per-gap", "20"], mean_zero_gap(1.0e3) / 20)):
         out = tmp_path / "m.csv"
         res = run_cli(["moments", "--T", "1e3", "--k", "1", "--h", "0", "--out", str(out)]

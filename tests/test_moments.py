@@ -36,6 +36,8 @@ def test_request_validation():
         MomentRequest(T=1e4, k=1.0, h=float("nan"))
     with pytest.raises(DomainError):
         MomentRequest(T=1e4, k=1.0, h=0.0, target="bogus")
+    with pytest.raises(DomainError):
+        MomentRequest(T=1e4, k=1.0, h=0.0, points_per_gap=0)
 
 
 def test_mesh_tied_to_zero_gap(grids_1e3):
@@ -182,7 +184,7 @@ def test_rule_estimate_covers_error(T):
     for (k, h, target), value in fine.items():
         ref = (4.0 * value - coarse[k, h, target]) / 3.0
         est = joint_moment(MomentRequest(T, k, h, target))
-        assert est.mesh == pytest.approx(moment_mesh(T, k, h), rel=2.0 / est.panels)
+        assert est.mesh == pytest.approx(moment_mesh(est.request), rel=2.0 / est.panels)
         assert 0.0 < est.est_rel_error < 1.0e-6
         assert abs(est.value - ref) / ref <= est.est_rel_error, (k, h, target)
 
@@ -190,17 +192,13 @@ def test_rule_estimate_covers_error(T):
 def test_moment_mesh_rule():
     T = 1.0e4
     omega = math.log(2.0 * T / TWO_PI)
-    assert moment_mesh(T, 1.0, 0.0) == math.pi / (2.0 * omega)
-    assert moment_mesh(T, 2.0, 1.0, "hardyZ") == math.pi / (4.0 * omega)
-    assert mean_zero_gap(T) / moment_mesh(T, 1.0, 1.0) == pytest.approx(4.4, abs=0.05)
+    assert moment_mesh(MomentRequest(T, 1.0, 0.0)) == math.pi / (2.0 * omega)
+    assert moment_mesh(MomentRequest(T, 2.0, 1.0, "hardyZ")) == math.pi / (4.0 * omega)
+    assert mean_zero_gap(T) / moment_mesh(MomentRequest(T, 1.0, 1.0)) == pytest.approx(4.4, abs=0.05)
     for k, h in ((1.5, 0.75), (1.25, 0.0), (1.5, 0.5), (2.0, 0.5), (3.0, 2.0)):
-        assert moment_mesh(T, k, h) == mean_zero_gap(T) / 20
-    assert moment_mesh(T, 1.0, 0.0, points_per_gap=7) == mean_zero_gap(T) / 7
-    assert moment_mesh(T, 1.5, 0.75, points_per_gap=40) == mean_zero_gap(T) / 40
-    with pytest.raises(DomainError):
-        moment_mesh(T, 1.0, 0.0, points_per_gap=0)
-    with pytest.raises(DomainError):
-        moment_mesh(T, 1.0, 0.0, "bogus")
+        assert moment_mesh(MomentRequest(T, k, h)) == mean_zero_gap(T) / 20
+    assert moment_mesh(MomentRequest(T, 1.0, 0.0, points_per_gap=7)) == mean_zero_gap(T) / 7
+    assert moment_mesh(MomentRequest(T, 1.5, 0.75, points_per_gap=40)) == mean_zero_gap(T) / 40
 
 
 def test_coarse_override_keeps_mesh_halving():
