@@ -36,12 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critline import TARGETS, TWO_PI, GridData, eval_grid
+from .critline import MAX_HEIGHT, TARGETS, TWO_PI, GridData, eval_grid
 from .csvio import write_csv
 from .errors import ConfigError, DomainError
 
 T_MIN = 1.0e3
-T_MAX = 1.0e7
+# [T, 2T] must stay inside the Riemann-Siegel range.
+T_MAX = MAX_HEIGHT / 2.0
 
 # Floor applied to |Z| only when a negative power is requested (h > k).
 ABS_FLOOR = 1.0e-8

@@ -109,6 +109,8 @@ def test_twisted_command(tmp_path):
 def test_exit_codes(tmp_path):
     for args in (
         ["moments", "--T", "10", "--k", "1", "--h", "0"],
+        # [T, 2T] reaches past 1e7, refused before any array is made.
+        ["moments", "--T", "6e6", "--k", "1", "--h", "0", "--points-per-gap", "1"],
         ["twisted", "--T", "2e3", "--points-per-gap", "0"],
         # Heights above 1e7, caught before a grid is built.
         ["eval", "--t-min", "100", "--t-max", "1e300", "--step", "0.05"],

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from zetalab.critline import (
     RS_ROUNDOFF_COEF,
     _GRID_PIECE,
+    _LATTICE_MIN_N,
     _MAIN_SUM_SETUPS,
     _chebyshev_basis,
+    _hardy_grid,
     _main_sum_setup,
     _rs_corrections,
     _rs_models,
@@ -493,11 +495,86 @@ def test_eval_grid_matches_scalar_and_workers():
     assert np.array_equal(g1.Z_prime, g4.Z_prime)
 
 
+
+def _uniform(t_start, pieces, points_per_gap=20):
+    """Midpoints of a grid at points_per_gap per mean zero gap from t_start,
+    over a whole number of eval_grid pieces plus a part of one."""
+    step = TWO_PI / math.log(t_start / TWO_PI) / points_per_gap
+    return t_start + (np.arange(pieces * _GRID_PIECE + 1234) + 0.5) * step
+
+
+def _direct(ts):
+    """eval_grid's pieces through the direct route alone (no lattice)."""
+    parts = [_hardy_grid(ts[lo : lo + _GRID_PIECE]) for lo in range(0, ts.size, _GRID_PIECE)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+@pytest.mark.parametrize(
+    "t_start",
+    [1.0e5, TWO_PI * 400**2 - 300.0, 9.9e6],
+    ids=["1e5", "straddle_400", "9.9e6"],
+)
+def test_lattice_route_matches_direct(t_start):
+    # A uniform grid takes its main sum from the Nyquist lattice where
+    # N >= 43; single heights keep the direct route.  The two agree to half
+    # the reported estimate, and the bytes do not depend on the workers.
+    ts = _uniform(t_start, 3)
+    assert ts[-1] < 1.0e7
+    grid = eval_grid(ts, workers=1)
+    two = eval_grid(ts, workers=2)
+    assert np.array_equal(grid.Z, two.Z)
+    assert np.array_equal(grid.Z_prime, two.Z_prime)
+    idx = np.unique(np.linspace(0, ts.size - 1, 200).astype(int))
+    idx = np.union1d(idx, np.flatnonzero(np.diff(np.floor(np.sqrt(ts / TWO_PI))))[:, None] + [0, 1])
+    samples = [critical_sample(float(ts[i])) for i in idx]
+    z = np.array([s.Z for s in samples])
+    zp = np.array([s.Z_prime for s in samples])
+    cap = 0.5 * np.array([rs_error_estimate(float(ts[i])) for i in idx])
+    assert np.all(np.abs(grid.Z[idx] - z) <= cap)
+    assert np.all(np.abs(grid.Z_prime[idx] - zp) / grid.theta_prime[idx] <= cap)
+    assert not np.array_equal(grid.Z[idx], z)  # the lattice route was taken
+
+
+def test_lattice_route_covers_mpmath():
+    # test_rs_error_estimate_covers_mpmath_to_1e7 evaluates one height at a
+    # time, which keeps the direct route; here the heights sit inside
+    # uniform grids, between lattice nodes.
+    mpmath = pytest.importorskip("mpmath")
+    for t_start in (1.0e6, 9.9e6):
+        ts = _uniform(t_start, 1)
+        grid = eval_grid(ts)
+        for i in (1001, 4567, 8000):
+            with mpmath.workdps(25):
+                ref = float(mpmath.siegelz(float(ts[i])))
+            assert abs(grid.Z[i] - ref) <= grid.est_abs_error, ts[i]
+
+
+def test_lattice_route_selection():
+    # A uniform grid below N = 43, and a grid with one height off the
+    # lattice, give exactly what the direct route gives on the same pieces.
+    below = 1.1e4 + (np.arange(2 * _GRID_PIECE + 99) + 0.5) * 0.02
+    assert math.floor(math.sqrt(below[-1] / TWO_PI)) < _LATTICE_MIN_N
+    uniform = _uniform(1.0e6, 2)
+    moved = uniform.copy()
+    moved[5000] += 0.3 * (moved[1] - moved[0])
+    for ts in (below, moved):
+        grid = eval_grid(ts, workers=2)
+        z, zp, theta, theta_p = _direct(ts)
+        assert np.array_equal(grid.Z, z)
+        assert np.array_equal(grid.Z_prime, zp)
+    # Without the moved height the same grid takes the lattice.
+    assert not np.array_equal(eval_grid(uniform).Z, _direct(uniform)[0])
+
+
 def test_eval_grid_validation():
     with pytest.raises(DomainError):
         eval_grid(np.array([10.0, 60.0]))
     with pytest.raises(DomainError):
         eval_grid(np.array([100.0, 90.0]))
+    # NaN passes every comparison; it must not reach the main sum.
+    for bad in ([math.nan], [100.0, math.nan, 200.0], [100.0, math.inf]):
+        with pytest.raises(DomainError):
+            eval_grid(np.array(bad))
 
 
 def test_grid_cache_roundtrip(tmp_path):

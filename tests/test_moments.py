@@ -27,6 +27,8 @@ def test_request_validation():
     with pytest.raises(DomainError):
         MomentRequest(T=10.0, k=1.0, h=0.0)
     with pytest.raises(DomainError):
+        MomentRequest(T=6.0e6, k=1.0, h=0.0)  # 2T above critline.MAX_HEIGHT
+    with pytest.raises(DomainError):
         MomentRequest(T=1e4, k=1.0, h=1.6)  # h > k + 1/2
     with pytest.raises(DomainError):
         MomentRequest(T=1e4, k=-1.0, h=0.0)
