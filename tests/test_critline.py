@@ -496,10 +496,10 @@ def test_eval_grid_matches_scalar_and_workers():
 
 
 
-def _uniform(t_start, pieces, points_per_gap=20):
-    """Midpoints of a grid at points_per_gap per mean zero gap from t_start,
-    over a whole number of eval_grid pieces plus a part of one."""
-    step = TWO_PI / math.log(t_start / TWO_PI) / points_per_gap
+def _uniform(t_start, pieces):
+    """Midpoints of a grid at 20 points per mean zero gap from t_start, over
+    a whole number of eval_grid pieces plus a part of one."""
+    step = TWO_PI / math.log(t_start / TWO_PI) / 20
     return t_start + (np.arange(pieces * _GRID_PIECE + 1234) + 0.5) * step
 
 
