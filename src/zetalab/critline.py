@@ -719,6 +719,43 @@ def _lattice_sum(
     return f, g
 
 
+def _lattice_main_sum(
+    t: np.ndarray, theta: np.ndarray, n_floor: np.ndarray, lattice: tuple[float, float, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The main sum of a piece of a uniform grid: lattice = (t0, step, offset)
+    says that t[i] is the grid height t0 + (offset + i) step.
+
+    Returns (s, ds, phase) with Z = Re(e^{i phase} s) and
+    Z' = -Im(e^{i phase}(theta' s - ds)).  Each run of heights with one
+    N >= _LATTICE_MIN_N takes F = e^{i sigma t} S and G = e^{i sigma t} S'
+    (sigma = 1/2 log N, phase theta - sigma t) from `_lattice_sum` on the
+    lattice of stride m = floor(pi / (lambda sigma step)) grid steps, if
+    m >= 2 and the run spans the 2 M m heights of the filter.  The lattice
+    depends only on t0, step and N, not on the piece, so neither do the
+    values it gives.  The other heights take S and S' from `_main_sum`, with
+    phase theta.
+    """
+    t0, step, offset = lattice
+    s = np.empty(t.shape, dtype=complex)
+    ds = np.empty_like(s)
+    phase = theta.copy()
+    direct = np.ones(t.shape, dtype=bool)
+    edges = [0, *(np.flatnonzero(np.diff(n_floor)) + 1).tolist(), t.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = int(n_floor[lo])
+        if n < _LATTICE_MIN_N:
+            continue
+        sigma = 0.5 * math.log(n)
+        m = min(int(math.pi / (_LATTICE_OVERSAMPLING * sigma * step)), _LATTICE_MAX_STRIDE)
+        if m < 2 or hi - lo < 2 * _LATTICE_HALF_WIDTH * m:
+            continue
+        s[lo:hi], ds[lo:hi] = _lattice_sum(t0, step, offset + lo, offset + hi, n, m)
+        phase[lo:hi] -= sigma * t[lo:hi]
+        direct[lo:hi] = False
+    s[direct], ds[direct] = _main_sum(t[direct], n_floor[direct])
+    return s, ds, phase
+
+
 def _hardy_grid(
     t: np.ndarray, lattice: tuple[float, float, int] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -733,19 +770,14 @@ def _hardy_grid(
     - Direct (`_main_sum`): n^{-it} for a block of heights from one complex
       exp per prime n and one complex multiply per composite, then Z and Z'
       from Re(e^{i theta} S) and its derivative.  Scattered heights, single
-      heights, N < _LATTICE_MIN_N and runs too short for the lattice take it.
-    - Lattice (`_lattice_sum`): lattice = (t0, step, offset) says that t[i]
-      is the grid height t0 + (offset + i) step.  Each run of heights with
-      one N >= _LATTICE_MIN_N gets F = e^{i sigma t} S and G = e^{i sigma t} S'
-      (sigma = 1/2 log N) from samples on the lattice of stride
-      m = floor(pi / (lambda sigma step)) grid steps, and Z and Z' from
-      e^{i(theta - sigma t)} F and G.  The lattice depends only on t0, step
-      and N, not on the piece, so neither do the values it gives.
-      A run needs m >= 2 and at least 2 M m heights, the span of the
-      filter.  The route starts at N = 43 although it is faster from about
-      N = 12 (20 points per mean zero gap): started at N = 20, it moved Z'
-      on a uniform grid near t = 1e4 by up to 1.6e-11 from its value at the
-      height alone, beyond the 1e-12 that the per-term reference test allows.
+      heights and every piece without a lattice take it.
+    - Lattice (`_lattice_main_sum`), for a piece of a uniform grid: runs of
+      heights with N >= _LATTICE_MIN_N take S and S' from a Nyquist lattice
+      of direct samples, the rest of the piece the direct route.  The route
+      starts at N = 43 although it is faster from about N = 12 (20 points per
+      mean zero gap): started at N = 20, it moved Z' on a uniform grid near
+      t = 1e4 by up to 1.6e-11 from its value at the height alone, beyond
+      the 1e-12 that the per-term reference test allows.
     """
     t = np.asarray(t, dtype=float)
     theta, theta_p = theta_pair_vec(t)
@@ -757,25 +789,11 @@ def _hardy_grid(
     # 0.47M-height grid of moment_grids(1e4) (glibc malloc).
     z = np.empty_like(t)
     zp = np.empty_like(t)
-    s = np.empty(t.shape, dtype=complex)
-    ds = np.empty_like(s)
-    phase = theta.copy()
-    direct = np.ones(t.shape, dtype=bool)
-    if lattice is not None:
-        t0, step, offset = lattice
-        edges = [0, *(np.flatnonzero(np.diff(n_floor)) + 1).tolist(), t.size]
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            n = int(n_floor[lo])
-            if n < _LATTICE_MIN_N:
-                continue
-            sigma = 0.5 * math.log(n)
-            m = min(int(math.pi / (_LATTICE_OVERSAMPLING * sigma * step)), _LATTICE_MAX_STRIDE)
-            if m < 2 or hi - lo < 2 * _LATTICE_HALF_WIDTH * m:
-                continue
-            s[lo:hi], ds[lo:hi] = _lattice_sum(t0, step, offset + lo, offset + hi, n, m)
-            phase[lo:hi] -= sigma * t[lo:hi]
-            direct[lo:hi] = False
-    s[direct], ds[direct] = _main_sum(t[direct], n_floor[direct])
+    if lattice is None:
+        s, ds = _main_sum(t, n_floor)
+        phase = theta
+    else:
+        s, ds, phase = _lattice_main_sum(t, theta, n_floor, lattice)
     rot = np.exp(1j * phase)
     z[:] = (rot * s).real
     np.negative((rot * (theta_p * s - ds)).imag, out=zp)
