@@ -115,8 +115,6 @@ def _cmd_scheme(args) -> int:
 def _cmd_eval(args) -> int:
     if not args.t_max > args.t_min:
         raise ConfigError(f"--t-max must exceed --t-min, got [{args.t_min}, {args.t_max}]")
-    if args.points_per_gap < 1:
-        raise ConfigError(f"--points-per-gap must be >= 1, got {args.points_per_gap}")
     step = args.step
     if step is None:
         step = moments.mean_zero_gap(args.t_max) / args.points_per_gap
@@ -124,10 +122,10 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--step must be positive, got {step}")
     if args.t_max > critline.MAX_HEIGHT:
         raise DomainError(f"--t-max must be at most {critline.MAX_HEIGHT:g}, got {args.t_max:g}")
-    count = int(math.ceil((args.t_max - args.t_min) / step))
+    count = math.ceil((args.t_max - args.t_min) / step)
     if count > EVAL_MAX_ROWS:
         raise CapacityError(f"eval grid of {count:.3g} rows exceeds the cap of {EVAL_MAX_ROWS:.3g}")
-    ts = args.t_min + (np.arange(count) + 0.5) * step
+    ts, _ = moments.midpoint_grid(args.t_min, args.t_max, step)
     grid = critline.eval_grid(ts, workers=args.workers)
     columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
     write_float_columns(args.out, ["t", "Z", "Z_prime", "theta", "theta_prime"], columns)
@@ -157,7 +155,8 @@ def _cmd_inequality(args) -> int:
     )
     rng = _rng(args.seed)
     ts = np.sort(rng.uniform(args.t_min, args.t_max, args.samples))
-    report = inequality.check_interpolation(ts, cfg, args.target)
+    grid = critline.eval_grid(ts, workers=args.workers)
+    report = inequality.check_interpolation(grid, cfg, args.target)
     inequality.write_interpolation_csv(report, args.out)
     print(
         f"wrote {args.out}: {report.t.size} points, failures={report.failures.size}, "
@@ -435,6 +434,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
         if args.workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if getattr(args, "points_per_gap", None) is not None and args.points_per_gap < 1:
+            raise ConfigError(f"--points-per-gap must be >= 1, got {args.points_per_gap}")
         if args.out is None:
             args.out = args.default_out
         return args.func(args)

@@ -862,9 +862,6 @@ class GridData:
     theta_prime: np.ndarray
     est_abs_error: float
 
-    def zeta_abs2(self) -> np.ndarray:
-        return self.Z * self.Z
-
     def dabs2(self, target: str) -> np.ndarray:
         """Derivative square of the target: |zeta'|^2 = Z'^2 + theta'^2 Z^2 for
         "zeta", Z'^2 for "hardyZ"."""

@@ -25,7 +25,7 @@ from .critline import MAX_HEIGHT, RS_MIN_T, TARGETS, TWO_PI, eval_grid, zeta_em_
 from .csvio import write_csv
 from .dirpoly import DirichletPoly, factorize, poly_eval_grid
 from .errors import CapacityError, DomainError, TruncationError
-from .moments import _midpoint_grid, mean_zero_gap
+from .moments import integrand, mean_zero_gap, midpoint_grid
 
 DEFAULT_PAIR_CAP = 100_000_000
 
@@ -637,9 +637,8 @@ def twisted_direct(
     of `direct_mesh`."""
     mesh = direct_mesh(a, T, weight, phi, points_per_gap)
     z2_power, target = WEIGHTS[weight]
-    ts, step = _midpoint_grid(phi.support[0] * T, phi.support[1] * T, mesh)
-    grid = eval_grid(ts, workers=workers)
-    vals = grid.zeta_abs2() ** z2_power * grid.dabs2(target)
+    ts, step = midpoint_grid(phi.support[0] * T, phi.support[1] * T, mesh)
+    vals = integrand(eval_grid(ts, workers=workers), z2_power + 1, 1, target)
     amps = np.abs(poly_eval_grid(a, ts)) ** 2
     return float(np.sum(vals * amps * phi(ts / T)) * step)
 

@@ -56,6 +56,31 @@ def test_eval_command_with_cache(tmp_path):
     assert cache.read_bytes()[:4] == b"ZML1"
 
 
+def test_eval_heights_inside_range(tmp_path):
+    # The step shrinks to fit ceil((t_max - t_min) / step) equal panels, so
+    # no height passes --t-max, even at the top of the range.
+    out = tmp_path / "grid.csv"
+    for t_min, t_max, rows in (("100", "110", 4), ("9999990", "1e7", 4)):
+        res = run_cli(["eval", "--t-min", t_min, "--t-max", t_max, "--step", "3",
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        ts = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+        assert len(ts) == rows
+        assert float(t_min) <= min(ts) and max(ts) <= float(t_max)
+
+
+def test_inequality_workers_keep_bytes(tmp_path):
+    # 9000 heights span two eval_grid pieces of 8192, so 4 workers split them.
+    texts = []
+    for workers in ("1", "4"):
+        out = tmp_path / f"iq{workers}.csv"
+        res = run_cli(["inequality", "--samples", "9000", "--workers", workers,
+                       "--out", str(out)], tmp_path)
+        assert res.returncode == 0, res.stderr
+        texts.append(out.read_bytes())
+    assert texts[0] == texts[1]
+
+
 def test_moments_command(tmp_path):
     out = tmp_path / "m.csv"
     res = run_cli(["moments", "--T", "1e3", "--k", "1", "--h", "0", "--out", str(out)], tmp_path)
@@ -111,7 +136,6 @@ def test_exit_codes(tmp_path):
         ["moments", "--T", "10", "--k", "1", "--h", "0"],
         # [T, 2T] reaches past 1e7, refused before any array is made.
         ["moments", "--T", "6e6", "--k", "1", "--h", "0", "--points-per-gap", "1"],
-        ["twisted", "--T", "2e3", "--points-per-gap", "0"],
         # Heights above 1e7, caught before a grid is built.
         ["eval", "--t-min", "100", "--t-max", "1e300", "--step", "0.05"],
         ["twisted", "--T", "1e300", "--method", "direct"],
@@ -135,6 +159,8 @@ def test_exit_codes(tmp_path):
     for args in (
         ["eval", "--t-min", "100", "--t-max", "101", "--step", "0"],
         ["eval", "--t-min", "100", "--t-max", "101", "--points-per-gap", "0"],
+        ["moments", "--T", "1e3", "--k", "1", "--h", "0", "--points-per-gap", "0"],
+        ["twisted", "--T", "2e3", "--points-per-gap", "0"],
         ["eval", "--t-min", "200", "--t-max", "100"],
         ["eval", "--t-min", "100", "--t-max", "100"],
         ["inequality", "--samples", "-1"],

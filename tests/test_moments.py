@@ -11,6 +11,7 @@ from zetalab.moments import (
     joint_moment,
     joint_moment_on_grids,
     mean_zero_gap,
+    midpoint_grid,
     moment_grids,
     moment_mesh,
     scaling_report,
@@ -212,6 +213,10 @@ def test_coarse_override_keeps_mesh_halving():
     assert est.panels == grid.t.size
     assert est.value == float(np.sum(grid.Z**2) * est.mesh)
     assert est == joint_moment_on_grids(req, grid, grid_half)
+    # On the rule's mesh the pair needs no half-mesh grid.
+    rule = MomentRequest(1.0e3, 1.0, 0.0)
+    ts, _ = midpoint_grid(1.0e3, 2.0e3, moment_mesh(rule))
+    assert joint_moment_on_grids(rule, eval_grid(ts)) == joint_moment(rule)
 
 
 def test_cusp_route_unchanged():
@@ -226,3 +231,5 @@ def test_cusp_route_unchanged():
     assert est.value == value
     assert est.est_rel_error == 2.0 * abs(value - half) / half
     assert est.panels == grid.t.size
+    with pytest.raises(ConfigError):
+        joint_moment_on_grids(req, grid)

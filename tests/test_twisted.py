@@ -8,7 +8,7 @@ from zetalab import twisted
 from zetalab.critline import eval_grid, zeta_em_vec
 from zetalab.dirpoly import DirichletPoly, poly_eval_grid
 from zetalab.errors import CapacityError, DomainError, TruncationError
-from zetalab.moments import MomentRequest, _midpoint_grid, joint_moment, mean_zero_gap
+from zetalab.moments import MomentRequest, integrand, joint_moment, mean_zero_gap, midpoint_grid
 from zetalab.twisted import (
     BSeriesConfig,
     CutoffFn,
@@ -448,13 +448,13 @@ def test_direct_weights_match_independent_midpoint_sum():
 def test_direct_bandwidth_mesh_matches_fine_mesh(T):
     # The default mesh, about 2 and 4 points per mean zero gap, against one
     # 40 points/gap grid per T shared by every (weight, polynomial) pair.
-    ts, step = _midpoint_grid(0.75 * T, 2.25 * T, mean_zero_gap(T) / 40)
+    ts, step = midpoint_grid(0.75 * T, 2.25 * T, mean_zero_gap(T) / 40)
     grid = eval_grid(ts)
     window = PHI(ts / T) * step
     for poly in (ONE, DirichletPoly.from_coeffs({1: 1.0, 2: 1.0})):
         amps = np.abs(poly_eval_grid(poly, ts)) ** 2
         for weight, (z2_power, target) in twisted.WEIGHTS.items():
-            vals = grid.zeta_abs2() ** z2_power * grid.dabs2(target)
+            vals = integrand(grid, z2_power + 1, 1, target)
             ref = float(np.sum(vals * amps * window))
             assert twisted_direct(poly, T, weight, PHI) == pytest.approx(ref, rel=2e-12), weight
 
