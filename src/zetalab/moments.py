@@ -215,12 +215,6 @@ def joint_moment_on_grids(
     (k, h) = (1.5, 0.75) reports 0.31 of its true error (0.16 before the
     doubling).
     """
-    return _moment_on_grids(req, grid, grid_half)
-
-
-def _moment_on_grids(
-    req: MomentRequest, grid: GridData, grid_half: GridData | None
-) -> MomentEstimate:
     panels = grid.t.size
     mesh = req.T / panels
     value = float(np.sum(integrand(grid, req.k, req.h, req.target)) * mesh)
@@ -239,6 +233,12 @@ def _moment_on_grids(
     return MomentEstimate(value, mesh, panels, est, req, req.h > req.k)
 
 
+# joint_moment calls the estimator by this private name, which perfbench's
+# tracer leaves unwrapped: its counter for joint_moment_on_grids reads
+# grid_half.t.size, and joint_moment passes None for band-limited pairs.
+_moment_on_grids = joint_moment_on_grids
+
+
 def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
     """Joint moment on the mesh of `moment_mesh`: one grid, plus one at half
     its mesh when the pair takes the mesh-halving estimate (see
@@ -250,9 +250,6 @@ def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
     if _rule_bandwidth(req, step) is None:
         ts_half, _ = midpoint_grid(req.T, 2.0 * req.T, mesh / 2.0)
         grid_half = eval_grid(ts_half, workers=workers)
-    # Called by its private name: perfbench's tracer reads grid_half.t.size
-    # on each call of joint_moment_on_grids, so that name keeps only the
-    # shared-grid callers.
     return _moment_on_grids(req, grid, grid_half)
 
 
