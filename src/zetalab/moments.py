@@ -146,9 +146,10 @@ def integrand(grid: GridData, k: float, h: float, target: str) -> np.ndarray:
     """|zeta|^(2k-2h) |target'|^(2h) on grid, with |Z| floored at ABS_FLOOR
     when the first power is negative (h > k)."""
     za = np.abs(grid.Z)
+    dz2 = grid.dabs2(target)
     if h > k:
         za = np.maximum(za, ABS_FLOOR)
-    return za ** (2.0 * k - 2.0 * h) * grid.dabs2(target) ** h
+    return za ** (2.0 * k - 2.0 * h) * dz2**h
 
 
 def _rule_bandwidth(req: MomentRequest, mesh: float) -> float | None:
@@ -217,7 +218,8 @@ def joint_moment_on_grids(
     """
     panels = grid.t.size
     mesh = req.T / panels
-    value = float(np.sum(integrand(grid, req.k, req.h, req.target)) * mesh)
+    vals = integrand(grid, req.k, req.h, req.target)
+    value = float(np.sum(vals) * mesh)
     omega = _rule_bandwidth(req, mesh)
     if omega is not None:
         d1, d3 = _end_derivatives(req, omega)
