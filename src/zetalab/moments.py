@@ -218,6 +218,8 @@ def joint_moment_on_grids(
     """
     panels = grid.t.size
     mesh = req.T / panels
+    # vals lives until return: freed before the temporaries below, the same
+    # sums ran about 5 % slower in the allocation-bound Hoelder sweep.
     vals = integrand(grid, req.k, req.h, req.target)
     value = float(np.sum(vals) * mesh)
     omega = _rule_bandwidth(req, mesh)
