@@ -28,9 +28,6 @@ EXIT_CONFIG = 2
 EXIT_REGIME = 3
 EXIT_CAPACITY = 4
 
-# Rows of one `eval` grid: 40 bytes each in memory, about 100 in the CSV.
-EVAL_MAX_ROWS = 10_000_000
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
@@ -122,9 +119,6 @@ def _cmd_eval(args) -> int:
         raise ConfigError(f"--step must be positive, got {step}")
     if args.t_max > critline.MAX_HEIGHT:
         raise DomainError(f"--t-max must be at most {critline.MAX_HEIGHT:g}, got {args.t_max:g}")
-    count = math.ceil((args.t_max - args.t_min) / step)
-    if count > EVAL_MAX_ROWS:
-        raise CapacityError(f"eval grid of {count:.3g} rows exceeds the cap of {EVAL_MAX_ROWS:.3g}")
     ts, _ = moments.midpoint_grid(args.t_min, args.t_max, step)
     grid = critline.eval_grid(ts, workers=args.workers)
     columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)

@@ -39,11 +39,17 @@ import numpy as np
 
 from .critline import MAX_HEIGHT, TARGETS, TWO_PI, GridData, eval_grid
 from .csvio import write_csv
-from .errors import ConfigError, DomainError
+from .errors import CapacityError, ConfigError, DomainError
 
 T_MIN = 1.0e3
 # [T, 2T] must stay inside the Riemann-Siegel range.
 T_MAX = MAX_HEIGHT / 2.0
+
+# Panels of one midpoint grid.  A moment holds about 100 bytes per point at
+# once (eval_grid's five float64 arrays and the integrand's temporaries),
+# so the cap keeps a grid near 1 GB; `moments --T 1e6 --k 1 --h 0` needs
+# 8.07e6 points.
+MAX_GRID_POINTS = 10_000_000
 
 # Floor applied to |Z| only when a negative power is requested (h > k).
 ABS_FLOOR = 1.0e-8
@@ -120,8 +126,18 @@ def moment_mesh(req: MomentRequest) -> float:
 
 def midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float]:
     """Midpoints of the fewest equal panels of [lo, hi] no wider than mesh,
-    and the panel width."""
-    panels = int(math.ceil((hi - lo) / mesh))
+    and the panel width.
+
+    Raises CapacityError, before any array is made, for more than
+    MAX_GRID_POINTS panels.
+    """
+    ratio = (hi - lo) / mesh
+    if not ratio <= MAX_GRID_POINTS:
+        raise CapacityError(
+            f"midpoint grid of {ratio:.3g} points on [{lo:g}, {hi:g}] exceeds the cap of "
+            f"{MAX_GRID_POINTS:.3g}"
+        )
+    panels = int(math.ceil(ratio))
     step = (hi - lo) / panels
     return lo + (np.arange(panels) + 0.5) * step, step
 

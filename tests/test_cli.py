@@ -1,9 +1,11 @@
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zetalab
@@ -25,9 +27,15 @@ def _child_env():
     return env
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, address_space=None):
+    """Run the CLI in a child process, its address space limited to
+    address_space bytes if given."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
-        RUN + args, cwd=cwd, env=_child_env(), capture_output=True, text=True
+        RUN + args, cwd=cwd, env=_child_env(), capture_output=True, text=True,
+        preexec_fn=limit if address_space else None,
     )
 
 
@@ -67,6 +75,45 @@ def test_eval_heights_inside_range(tmp_path):
         ts = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
         assert len(ts) == rows
         assert float(t_min) <= min(ts) and max(ts) <= float(t_max)
+
+
+def test_eval_bytes_are_repr_rows_at_any_worker_count(tmp_path, capsys):
+    # A zero t0 of Z near 1e6, to about 1e-10: the grid below has t0 as a
+    # height (all its steps are exact in binary), so one Z cell falls under
+    # 1e-4, where repr switches to exponent form.
+    from zetalab.critline import eval_grid
+    from zetalab.csvio import PIECE_ROWS
+    from zetalab.gridcache import read_grid
+
+    ts = 1.0e6 + np.arange(0.0, 2.0, 0.01)
+    z = eval_grid(ts).Z
+    i = int(np.flatnonzero(np.sign(z[:-1]) != np.sign(z[1:]))[0])
+    lo, hi, z_lo = float(ts[i]), float(ts[i + 1]), z[i]
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if np.sign(eval_grid(np.array([mid])).Z[0]) == np.sign(z_lo):
+            lo = mid
+        else:
+            hi = mid
+    step = 2.0**-6
+    rows = 2 * PIECE_ROWS + 700  # two full pieces and a partial one
+    t_min = lo - (rows // 2 + 0.5) * step
+    texts = []
+    for workers in ("1", "2"):
+        out, cache = tmp_path / f"grid{workers}.csv", tmp_path / f"grid{workers}.zml"
+        assert main(["eval", "--t-min", repr(t_min), "--t-max", repr(t_min + rows * step),
+                     "--step", repr(step), "--workers", workers,
+                     "--out", str(out), "--cache", str(cache)]) == 0
+        texts.append(out.read_bytes())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    grid = read_grid(cache)
+    assert grid.t.size == rows and grid.t[rows // 2] == lo
+    assert np.min(np.abs(grid.Z)) < 1.0e-4 and np.min(grid.Z) < 0.0 < np.max(grid.Z)
+    columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
+    lines = ["t,Z,Z_prime,theta,theta_prime"]
+    lines += [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns))]
+    assert texts[0] == ("\n".join(lines) + "\n").encode()
 
 
 def test_inequality_workers_keep_bytes(tmp_path):
@@ -150,10 +197,18 @@ def test_exit_codes(tmp_path):
                         "--sieve-limit", "2000000000"], tmp_path)
     assert capacity.returncode == 4, capacity.stderr
     assert "kind=capacity" in capacity.stderr
-    # 1e16 rows, refused before any array is made.
-    capacity = run_cli(["eval", "--t-min", "100", "--t-max", "1e7", "--step", "1e-9"], tmp_path)
-    assert capacity.returncode == 4, capacity.stderr
-    assert "kind=capacity" in capacity.stderr
+    # Midpoint grids past moments.MAX_GRID_POINTS (1e16, 8.1e10 and 1.8e12
+    # points), refused before any array is made: under a 2 GB address-space
+    # limit an attempted allocation would end in a traceback (exit 1).
+    for args in (
+        ["eval", "--t-min", "100", "--t-max", "1e7", "--step", "1e-9"],
+        ["moments", "--T", "1e3", "--k", "1.5", "--h", "0.75", "--points-per-gap", "100000000"],
+        ["twisted", "--T", "1e4", "--poly", "one", "--method", "direct",
+         "--points-per-gap", "100000000"],
+    ):
+        capacity = run_cli(args, tmp_path, address_space=2**31)
+        assert capacity.returncode == 4, capacity.stderr
+        assert "kind=capacity" in capacity.stderr
     badflag = run_cli(["moments", "--T", "1e3", "--k", "1"], tmp_path)  # missing --h
     assert badflag.returncode == 2, badflag.stderr
     for args in (
