@@ -126,7 +126,9 @@ def _fixed_groups(R: np.ndarray, s: np.ndarray) -> np.ndarray:
     v_hi = v // _BILLION
     mid = v - v_hi * _BILLION + u_hi
     carry = mid >= _BILLION
-    # R 10^e = top 10^18 + mid 10^9 + low, shifted by `whole` groups.
+    # R 10^e = top 10^18 + mid 10^9 + low; shifted left by `whole` groups
+    # that is [0, top, mid, low], [top, mid, low, 0] or [mid, low, 0, 0]
+    # (top is 0 when whole is 2).
     top = v_hi + carry
     mid -= carry * _BILLION
     low = u - u_hi * _BILLION
@@ -170,7 +172,10 @@ def _format_cells(x: np.ndarray, seps: np.ndarray) -> bytes:
 
     texts = list(map(repr, x[slow].tolist()))
     lens = np.fromiter(map(len, texts), np.int64, len(texts))
-    first = 16 - int(n_int.max())  # sign slot of the widest integer part
+    # Slots first .. first + width - 1 hold every kept byte: from the sign
+    # slot of the widest integer part to the separator after the longest
+    # fraction, or a repr fallback and its separator.
+    first = 16 - int(n_int.max())
     width = max(int(n_frac.max()) + 19, int(lens.max(initial=0)) + 1 + first) - first
     cells = np.ascontiguousarray(slots[first:first + width].T)
     flat = cells.reshape(-1)
