@@ -96,17 +96,17 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     level = np.where(a - b >= 10.0, 10.0, 1.0)
     top = np.floor(a / (10.0 * level)) * (10.0 * level)
     unique = top > b
-    # Otherwise the multiple of level nearest V, moved inside (b, a].
+    # Otherwise the multiple of level nearest V.  It lies in (b, a] for
+    # every double in [1e-4, 1e16) (only a power of two could miss, below
+    # V, and none does); a cell where it would not goes to repr.
     q = (h + lo) / level
     q_floor = np.floor(q)
     q_frac = q - q_floor
     near = (q_floor + (q_frac > 0.5)) * level
-    near -= level * (near > a)
-    near += level * (near <= b)
     close = (
         (np.abs(up - up_floor - 0.5) > 0.5 - _MARGIN)
         | (np.abs(down_ceil - down - 0.5) > 0.5 - _MARGIN)
-        | ((np.abs(q_frac - 0.5) < _MARGIN) & ~unique)
+        | (((np.abs(q_frac - 0.5) < _MARGIN) | (near > a) | (near <= b)) & ~unique)
         | (hi < 2.0**53)
         | (hi >= 1e17)
     )
