@@ -11,11 +11,14 @@ on both sides and runs the base first when i is even, the change first when
 i is odd.  Ten pairs are the fewest from which a gain may be claimed.  The
 run length is BENCHMARK.json's `run_seconds`.
 
-The JSON file holds the environment, every summary line with its workload,
-pair, seed and side, and per workload and end-to-end metric the median and
-quartiles of each side, the change's median over the base's, and the
-number of pairs the change won (by the metric's direction in
-BENCHMARK.json).  The exports are removed at the end.
+The JSON file holds the environment and one record per run: its workload,
+pair, seed and side, its summary line, and from its report line the number
+of passes, each pass's raw seconds, the calibration time and every report
+figure (`holder_sweep_s`, `eval_rows_per_s`, ...).  Per workload it adds,
+for each end-to-end metric, the median and quartiles of each side, the
+change's median over the base's, and the number of pairs the change won
+(by the metric's direction in BENCHMARK.json); and for each report figure
+the median of each side.  The exports are removed at the end.
 """
 
 from __future__ import annotations
@@ -88,24 +91,51 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
+def run_record(workload: str, pair: int, seed: int, side: str, report: dict, summary: dict) -> dict:
+    """One run as kept in the JSON file: the summary line whole, and of the
+    report line the pass count, raw pass seconds, calibration time and the
+    value of each report figure."""
+    return {
+        "workload": workload, "pair": pair, "seed": seed, "side": side,
+        "passes": report["passes"],
+        "pass_raw_s": report["pass_raw_s"],
+        "calibration_s": report["calibration_s"],
+        "report": {name: fig["value"] for name, fig in report["report"].items()},
+        "summary": summary,
+    }
+
+
+def _report_figures(run: dict) -> dict[str, float]:
+    """The report figures of a run record with its pass count, median raw
+    pass seconds and calibration time."""
+    return {
+        "passes": run["passes"],
+        "pass_raw_s": statistics.median(run["pass_raw_s"]),
+        "calibration_s": run["calibration_s"],
+        **run["report"],
+    }
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload and metric: medians, quartiles, ratio and pairs won.
 
-    runs holds {"workload", "pair", "side", "summary"} records; better maps
-    each end-to-end metric to "lower" or "higher".  A pair counts as won
-    when the change is strictly better, lost when strictly worse.
+    runs holds `run_record` records; better maps each end-to-end metric to
+    "lower" or "higher".  A pair counts as won when the change is strictly
+    better, lost when strictly worse.  "report_medians" holds, for each
+    report figure that every paired run has, the median of each side
+    (`_report_figures`; for pass_raw_s, of each run's median pass).
     """
     out: dict[str, dict] = {}
     for workload in sorted({r["workload"] for r in runs}):
         mine = [r for r in runs if r["workload"] == workload]
         by_pair: dict[int, dict[str, dict]] = {}
         for r in mine:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r["summary"]
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
         pairs = [p for p in sorted(by_pair) if set(by_pair[p]) == set(SIDES)]
         fig: dict[str, dict] = {}
         for metric, direction in better.items():
             values = {
-                side: [by_pair[p][side]["metrics"][metric]["value"] for p in pairs]
+                side: [by_pair[p][side]["summary"]["metrics"][metric]["value"] for p in pairs]
                 for side in SIDES
             }
             sign = 1.0 if direction == "lower" else -1.0
@@ -123,10 +153,16 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             }
         fig["pairs"] = len(pairs)
         fig["failed"] = {
-            side: sum(by_pair[p][side]["failed"] for p in pairs) for side in SIDES
+            side: sum(by_pair[p][side]["summary"]["failed"] for p in pairs) for side in SIDES
         }
         fig["attempted"] = {
-            side: sum(by_pair[p][side]["attempted"] for p in pairs) for side in SIDES
+            side: sum(by_pair[p][side]["summary"]["attempted"] for p in pairs) for side in SIDES
+        }
+        figures = {side: [_report_figures(by_pair[p][side]) for p in pairs] for side in SIDES}
+        shared = set.intersection(*(set(f) for side in SIDES for f in figures[side])) if pairs else set()
+        fig["report_medians"] = {
+            name: {side: statistics.median(f[name] for f in figures[side]) for side in SIDES}
+            for name in sorted(shared)
         }
         out[workload] = fig
     return out
@@ -153,8 +189,7 @@ def main() -> int:
                 for side in pair_order(pair):
                     report, summary = run_once(checkouts[side], workload, seed, spec["run_seconds"])
                     env.setdefault("perfbench", report["env"])
-                    runs.append({"workload": workload, "pair": pair, "seed": seed,
-                                 "side": side, "summary": summary})
+                    runs.append(run_record(workload, pair, seed, side, report, summary))
                     wall = summary["metrics"]["wall_s"]["value"]
                     print(f"{workload} pair {pair} seed {seed} {side}: wall_s {wall:.4g}",
                           file=sys.stderr)
@@ -173,6 +208,8 @@ def main() -> int:
             m = fig[metric]
             print(f"{workload:10s} {metric:12s} base {m['base_median']:.5g} "
                   f"change {m['change_median']:.5g} wins {m['change_wins']}/{fig['pairs']}")
+        for name, m in fig["report_medians"].items():
+            print(f"{workload:10s} {name:24s} base {m['base']:.5g} change {m['change']:.5g}")
     print(f"wrote {out}")
     return 0
 

@@ -11,7 +11,9 @@ implementation that shares no code with it.
 from __future__ import annotations
 
 import math
+import queue
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -514,10 +516,11 @@ def _rs_models() -> np.ndarray:
     return models
 
 
-def _chebyshev_basis(y: np.ndarray, size: int) -> np.ndarray:
+def _chebyshev_basis(y: np.ndarray, size: int, work: _Workspace | None = None) -> np.ndarray:
     """T_0(y), ..., T_{size-1}(y) as the rows of one array, by the
-    three-term recurrence T_{j+1} = 2y T_j - T_{j-1}."""
-    basis = np.empty((size, y.size))
+    three-term recurrence T_{j+1} = 2y T_j - T_{j-1}; the array is work's
+    "basis" buffer when work is given."""
+    basis = np.empty((size, y.size)) if work is None else work.take("basis", (size, y.size))
     basis[0] = 1.0
     basis[1] = y
     y2 = 2.0 * y
@@ -527,7 +530,7 @@ def _chebyshev_basis(y: np.ndarray, size: int) -> np.ndarray:
     return basis
 
 
-def _rs_corrections(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rs_corrections(p: np.ndarray, work: _Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """C_k(p) and their p-derivatives, k = 0..4, as two (5, len(p)) arrays.
 
     One Chebyshev basis serves all ten series: the values of g_k and
@@ -536,7 +539,7 @@ def _rs_corrections(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     models = _rs_models()
     x = 2.0 * p - 1.0
     y = 2.0 * x * x - 1.0
-    g, dg = np.split(models @ _chebyshev_basis(y, models.shape[1]), 2)
+    g, dg = np.split(models @ _chebyshev_basis(y, models.shape[1], work), 2)
     dg *= 8.0 * x  # dy/dp = 8x
     odd = slice(1, None, 2)  # C_k = x g_k(y) for odd k
     dg[odd] *= x
@@ -576,6 +579,35 @@ _LATTICE_HALF_WIDTH = 38
 # Largest lattice stride m, in grid steps: a full piece spans the 2 M m
 # heights of the filter, and the m filters stay under 70 kB.
 _LATTICE_MAX_STRIDE = _GRID_PIECE // (2 * _LATTICE_HALF_WIDTH)
+
+
+class _Workspace:
+    """Buffers for the budget-sized temporaries of a piece, reused from one
+    piece to the next: the `_main_sum` table, the `_lattice_sum` window
+    block and its product with the filters, and the Chebyshev basis of
+    `_rs_corrections`, a few MB in all.
+
+    Freed after every piece, these buffers went back to the system and were
+    faulted in again by the next one (glibc trims the top of its heap and
+    unmaps large blocks): streamed, the 660 060 points of the (1, 0) moment
+    at T = 1e5 took 108k minor faults, against 5k with the buffers reused.
+    A workspace belongs to one thread and lives as long as one piece loop:
+    held between calls, it would add its size to the peak of every later
+    run.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, key: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        """A C-contiguous array of the given shape on the buffer named key,
+        which grows to the largest size asked of it; its contents are
+        undefined."""
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
 
 
 @lru_cache(maxsize=1)
@@ -629,7 +661,9 @@ def _main_sum_setup(n_max: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray
     return ns, tuple(level.tolist()), phase, factors, weights
 
 
-def _main_sum(t: np.ndarray, n_floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _main_sum(
+    t: np.ndarray, n_floor: np.ndarray, work: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """S = sum 2 n^{-1/2} n^{-it} and S' = sum 2 n^{-1/2} log n n^{-it} over
     1 <= n <= n_floor at each height t, as two complex arrays.
 
@@ -641,8 +675,10 @@ def _main_sum(t: np.ndarray, n_floor: np.ndarray) -> tuple[np.ndarray, np.ndarra
     the table.  The table rows follow (omega(n), n), so each omega level is
     one slice built from earlier rows.  The row layout depends only on the
     block's largest N and comes from `_main_sum_setup`.  Block boundaries
-    depend only on t.
+    depend only on t.  The table is work's "table" buffer.
     """
+    if work is None:
+        work = _Workspace()
     s = np.empty(t.shape, dtype=complex)
     ds = np.empty_like(s)
     rows = max(1, _MAIN_SUM_BUDGET // int(n_floor.max(initial=1)))
@@ -651,7 +687,7 @@ def _main_sum(t: np.ndarray, n_floor: np.ndarray) -> tuple[np.ndarray, np.ndarra
         tb = t[block]
         nb = n_floor[block].astype(np.int64)
         ns, level, phase, factors, weights = _main_sum_setup(int(nb.max()))
-        table = np.empty((ns.size, tb.size), dtype=complex)
+        table = work.take("table", (ns.size, tb.size), complex)
         table[0] = 1.0
         np.exp(np.multiply.outer(phase, tb), out=table[level[1] : level[2]])
         for lo_k, hi_k in zip(level[2:-1], level[3:]):
@@ -685,7 +721,7 @@ def _lattice_filters(m: int) -> np.ndarray:
 
 
 def _lattice_sum(
-    t0: float, step: float, lo: int, hi: int, n: int, m: int
+    t0: float, step: float, lo: int, hi: int, n: int, m: int, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """e^{i sigma t} S and e^{i sigma t} S' of length n at the grid heights
     t0 + j step, lo <= j < hi, with sigma = 1/2 log n.
@@ -697,13 +733,14 @@ def _lattice_sum(
     q0 - M + 1 .. q0 + M through filter column r of `_lattice_filters`, so
     every height is one row of a product of the sliding 2M-wide windows of
     samples with the m filters.  The windows are copied in chunks that keep
-    each product's operands within the main-sum table budget.
+    each product's operands within the main-sum table budget, into work's
+    "windows" buffer, and multiplied into its "filtered" buffer.
     """
     half = _LATTICE_HALF_WIDTH
     sigma = 0.5 * math.log(n)
     q = np.arange(lo // m - half + 1, (hi - 1) // m + half + 1)
     tq = t0 + (q * m) * step
-    s, ds = _main_sum(tq, np.full(tq.size, float(n)))
+    s, ds = _main_sum(tq, np.full(tq.size, float(n)), work)
     shift = np.exp(1j * sigma * tq)
     # Columns Re F, Im F, Re G, Im G of F = e^{i sigma t} S, G = e^{i sigma t} S'.
     samples = np.stack([s * shift, ds * shift], axis=1).view(float)
@@ -712,15 +749,23 @@ def _lattice_sum(
     fine = np.empty((windows.shape[0], m, 4))
     chunk = _MAIN_SUM_BUDGET // (2 * max(2 * half, m))
     for c in range(0, windows.shape[0], chunk):
-        block = np.ascontiguousarray(windows[c : c + chunk]).reshape(-1, 2 * half)
-        fine[c : c + chunk] = (block @ filters).reshape(-1, 4, m).transpose(0, 2, 1)
+        part = windows[c : c + chunk]
+        block = work.take("windows", part.shape)
+        np.copyto(block, part)
+        product = work.take("filtered", (block.size // (2 * half), m))
+        np.matmul(block.reshape(-1, 2 * half), filters, out=product)
+        fine[c : c + chunk] = product.reshape(-1, 4, m).transpose(0, 2, 1)
     first = (lo // m) * m
     f, g = fine.reshape(-1, 4)[lo - first : hi - first].view(complex).T
     return f, g
 
 
 def _lattice_main_sum(
-    t: np.ndarray, theta: np.ndarray, n_floor: np.ndarray, lattice: tuple[float, float, int]
+    t: np.ndarray,
+    theta: np.ndarray,
+    n_floor: np.ndarray,
+    lattice: tuple[float, float, int],
+    work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The main sum of a piece of a uniform grid: lattice = (t0, step, offset)
     says that t[i] is the grid height t0 + (offset + i) step.
@@ -749,17 +794,20 @@ def _lattice_main_sum(
         m = min(int(math.pi / (_LATTICE_OVERSAMPLING * sigma * step)), _LATTICE_MAX_STRIDE)
         if m < 2 or hi - lo < 2 * _LATTICE_HALF_WIDTH * m:
             continue
-        s[lo:hi], ds[lo:hi] = _lattice_sum(t0, step, offset + lo, offset + hi, n, m)
+        s[lo:hi], ds[lo:hi] = _lattice_sum(t0, step, offset + lo, offset + hi, n, m, work)
         phase[lo:hi] -= sigma * t[lo:hi]
         direct[lo:hi] = False
-    s[direct], ds[direct] = _main_sum(t[direct], n_floor[direct])
+    s[direct], ds[direct] = _main_sum(t[direct], n_floor[direct], work)
     return s, ds, phase
 
 
 def _hardy_grid(
-    t: np.ndarray, lattice: tuple[float, float, int] | None = None
+    t: np.ndarray,
+    lattice: tuple[float, float, int] | None = None,
+    work: _Workspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vector Riemann-Siegel evaluation of sorted heights.
+    """Vector Riemann-Siegel evaluation of sorted heights, with the large
+    temporaries in work (a fresh `_Workspace` when None).
 
     Returns (Z, Z', theta, theta').  The main-sum length N = floor(sqrt(t /
     2 pi)) is taken per height, not per block: the correction terms are
@@ -780,30 +828,26 @@ def _hardy_grid(
       the 1e-12 that the per-term reference test allows.
     """
     t = np.asarray(t, dtype=float)
+    if work is None:
+        work = _Workspace()
     theta, theta_p = theta_pair_vec(t)
     a = np.sqrt(t / TWO_PI)
     n_floor = np.floor(a)
-    # Z and Z' outlive the piece.  Made before the temporaries, they sit
-    # below them in the heap, so the freed temporaries leave no holes under
-    # live arrays: allocated last, they cost 7 MB of peak RSS on the
-    # 0.47M-height grid of moment_grids(1e4) (glibc malloc).
-    z = np.empty_like(t)
-    zp = np.empty_like(t)
     if lattice is None:
-        s, ds = _main_sum(t, n_floor)
+        s, ds = _main_sum(t, n_floor, work)
         phase = theta
     else:
-        s, ds, phase = _lattice_main_sum(t, theta, n_floor, lattice)
+        s, ds, phase = _lattice_main_sum(t, theta, n_floor, lattice, work)
     rot = np.exp(1j * phase)
-    z[:] = (rot * s).real
-    np.negative((rot * (theta_p * s - ds)).imag, out=zp)
+    z = (rot * s).real.copy()
+    zp = -(rot * (theta_p * s - ds)).imag
 
     # Corrections (-1)^(N-1) tau^{-1/4} sum_k C_k(p) r^k with r = tau^{-1/2};
     # dp/dt = r / (4 pi) and dr/dt = -r^3 / (4 pi).  The rows, weighted in
     # place by r^k, sum to sum C_k r^k, sum C_k' r^k and sum k C_k r^k.
     p = a - n_floor
     r = 1.0 / a
-    ck, ckp = _rs_corrections(p)
+    ck, ckp = _rs_corrections(p, work)
     k = np.arange(ck.shape[0])[:, None]
     rk = r**k
     ck *= rk
@@ -872,27 +916,86 @@ class GridData:
         return self.Z_prime**2
 
 
-def _uniform_step(t: np.ndarray) -> float | None:
-    """The step of t if every height lies within 4 ulp of t[0] + j step,
-    the step taken from the two ends, else None.  Checked piece by piece,
-    so the check holds no array the size of the grid."""
-    if t.size < 2 or not t[-1] > t[0]:
+def _uniform_step(heights, size: int) -> float | None:
+    """The step of the grid t[0:size] if every height lies within 4 ulp of
+    t[0] + j step, the step taken from the two ends, else None.
+    heights(lo, hi) returns t[lo:hi]; the check asks for it piece by piece,
+    so it holds no array the size of the grid."""
+    if size < 2:
         return None
-    step = (t[-1] - t[0]) / (t.size - 1)
-    for lo in range(0, t.size, _GRID_PIECE):
-        ideal = t[0] + np.arange(lo, min(lo + _GRID_PIECE, t.size)) * step
-        if np.any(np.abs(t[lo : lo + _GRID_PIECE] - ideal) > 4.0 * np.spacing(ideal)):
+    first, last = heights(0, 1)[0], heights(size - 1, size)[0]
+    if not last > first:
+        return None
+    step = (last - first) / (size - 1)
+    for lo in range(0, size, _GRID_PIECE):
+        hi = min(lo + _GRID_PIECE, size)
+        ideal = first + np.arange(lo, hi) * step
+        if np.any(np.abs(heights(lo, hi) - ideal) > 4.0 * np.spacing(ideal)):
             return None
     return float(step)
 
 
+def _grid_pieces(heights, size: int, workers: int = 1):
+    """Riemann-Siegel evaluation of an ascending grid t[0:size] in pieces
+    of _GRID_PIECE heights; heights(lo, hi) returns t[lo:hi].
+
+    Yields (lo, t[lo:hi], (Z, Z', theta, theta')) for each piece in order.
+    A uniform grid (`_uniform_step`) anchors its lattice at t[0], so each
+    piece has the bits of its slice of the whole grid whatever the worker
+    count.  Each running piece holds a `_Workspace` of its own, which lives
+    as long as this generator.  With workers > 1, that many threads run the
+    pieces, at most 2 * workers of them ahead of the consumer, so a consumer
+    that keeps only what it takes from each piece holds O(workers) pieces.
+    """
+    # Build the correction models and factor tables once, outside the pool.
+    _rs_models()
+    _main_sum_tables()
+    step = _uniform_step(heights, size)
+    t0 = float(heights(0, 1)[0]) if step is not None else 0.0
+
+    def piece(i: int, work: _Workspace):
+        lo = i * _GRID_PIECE
+        t = heights(lo, min(lo + _GRID_PIECE, size))
+        return lo, t, _hardy_grid(t, None if step is None else (t0, step, lo), work)
+
+    count = -(-size // _GRID_PIECE)
+    if workers <= 1 or count <= 1:
+        work = _Workspace()
+        for i in range(count):
+            yield piece(i, work)
+        return
+    spare: queue.SimpleQueue[_Workspace] = queue.SimpleQueue()
+    for _ in range(workers):
+        spare.put(_Workspace())
+
+    def run(i: int):
+        work = spare.get()
+        try:
+            return piece(i, work)
+        finally:
+            spare.put(work)
+
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        pending: deque = deque()
+        for i in range(count):
+            pending.append(pool.submit(run, i))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def eval_grid(t: np.ndarray, workers: int = 1) -> GridData:
-    """Riemann-Siegel evaluation over an ascending grid, chunked and optionally
-    threaded; results are independent of the worker count.
+    """Riemann-Siegel evaluation over an ascending grid, in pieces and
+    optionally threaded; results are independent of the worker count.
 
     A uniform grid (`_uniform_step`) takes its main sum from a Nyquist lattice
     anchored at t[0] wherever N >= 43 (see `_hardy_grid`); any other grid, and
-    the rest of a uniform one, takes the direct route.
+    the rest of a uniform one, takes the direct route.  The four columns are
+    allocated once and filled piece by piece (`_grid_pieces`).
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -903,24 +1006,14 @@ def eval_grid(t: np.ndarray, workers: int = 1) -> GridData:
         )
     if np.any(np.diff(t) < 0.0):
         raise DomainError("grid must be ascending")
-    # Build the correction models and factor tables once, outside the pool.
-    _rs_models()
-    _main_sum_tables()
-    step = _uniform_step(t)
-    # An empty grid still makes one (empty) piece.
-    starts = range(0, max(t.size, 1), _GRID_PIECE)
-    pieces = [t[lo : lo + _GRID_PIECE] for lo in starts]
-    lattices = [None if step is None else (float(t[0]), step, lo) for lo in starts]
-    if workers > 1 and len(pieces) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_hardy_grid, pieces, lattices))
-    else:
-        results = list(map(_hardy_grid, pieces, lattices))
-    z, zp, th, thp = (np.concatenate(parts) for parts in zip(*results))
+    columns = tuple(np.empty(t.size) for _ in range(4))
+    for lo, part, values in _grid_pieces(lambda lo, hi: t[lo:hi], t.size, workers):
+        for column, value in zip(columns, values):
+            column[lo : lo + part.size] = value
     # The cap is convex in t, so its largest value on the grid is at an end.
     ends = (float(t[0]), float(t[-1])) if t.size else ()
     est = max((rs_error_estimate(x) for x in ends), default=0.0)
-    return GridData(t, z, zp, th, thp, est)
+    return GridData(t, *columns, est)
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,24 @@ MAGIC = b"ZML1"
 VERSION = 1
 _FIELDS = 5
 
+# Records interleaved and written at a time: 320 kB, so the writer holds no
+# copy of the grid.
+_WRITE_ROWS = 1 << 13
+
 
 def write_grid(grid: GridData, path: str | Path) -> None:
-    records = np.empty((grid.t.size, _FIELDS), dtype="<f8")
-    records[:, 0] = grid.t
-    records[:, 1] = grid.Z
-    records[:, 2] = grid.Z_prime
-    records[:, 3] = grid.theta
-    records[:, 4] = grid.theta_prime
+    columns = (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
+    records = np.empty((min(grid.t.size, _WRITE_ROWS), _FIELDS), dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<B", VERSION))
         fh.write(struct.pack("<d", grid.est_abs_error))
         fh.write(struct.pack("<Q", grid.t.size))
-        fh.write(records.tobytes())
+        for lo in range(0, grid.t.size, _WRITE_ROWS):
+            block = records[: min(_WRITE_ROWS, grid.t.size - lo)]
+            for field, column in enumerate(columns):
+                block[:, field] = column[lo : lo + block.shape[0]]
+            fh.write(block.data)
 
 
 def read_grid(path: str | Path) -> GridData:

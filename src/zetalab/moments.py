@@ -4,8 +4,9 @@ The integrand |zeta|^(2k-2h) |zeta'|^(2h) (or the Hardy-Z version) is
 sampled by the composite midpoint rule on the mesh of `moment_mesh`.
 Midpoint is deliberate: fractional powers of |zeta| have cusps at the zeros,
 which defeat higher-order rules, while midpoint never samples the cusp tips
-and degrades gracefully.  One estimator, `joint_moment_on_grids`, takes
-that midpoint sum and adds one of two error estimates, by the pair (k, h).
+and degrades gracefully.  One estimator takes that midpoint sum, from
+shared grids (`joint_moment_on_grids`) or streamed piece by piece
+(`joint_moment`), and adds one of two error estimates, by the pair (k, h).
 
 Band-limited pairs have h in {0, 1} and e1 = 2k - 2h in {0, 2, 4}; in the
 paper's range (1 <= k <= 2, 0 <= h <= 1) they are (1, 0), (2, 0), (1, 1) and
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critline import MAX_HEIGHT, TARGETS, TWO_PI, GridData, eval_grid
+from .critline import _GRID_PIECE, MAX_HEIGHT, TARGETS, TWO_PI, GridData, _grid_pieces, eval_grid
 from .csvio import write_csv
 from .errors import CapacityError, ConfigError, DomainError
 
@@ -45,10 +46,11 @@ T_MIN = 1.0e3
 # [T, 2T] must stay inside the Riemann-Siegel range.
 T_MAX = MAX_HEIGHT / 2.0
 
-# Panels of one midpoint grid.  A moment holds about 100 bytes per point at
-# once (eval_grid's five float64 arrays and the integrand's temporaries),
-# so the cap keeps a grid near 1 GB; `moments --T 1e6 --k 1 --h 0` needs
-# 8.07e6 points.
+# Panels of one midpoint grid.  A whole grid (`eval`, `moment_grids`) holds
+# the heights and eval_grid's four columns, 40 bytes per point, so the cap
+# keeps one near 400 MB; the streamed quadratures (`joint_moment`,
+# `twisted.twisted_direct`) hold one float64 value per point, 80 MB at the
+# cap.  `moments --T 1e6 --k 1 --h 0` needs 8.07e6 points.
 MAX_GRID_POINTS = 10_000_000
 
 # Floor applied to |Z| only when a negative power is requested (h > k).
@@ -124,13 +126,9 @@ def moment_mesh(req: MomentRequest) -> float:
     return math.pi / (2.0 * omega)
 
 
-def midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float]:
-    """Midpoints of the fewest equal panels of [lo, hi] no wider than mesh,
-    and the panel width.
-
-    Raises CapacityError, before any array is made, for more than
-    MAX_GRID_POINTS panels.
-    """
+def _panels(lo: float, hi: float, mesh: float) -> tuple[int, float]:
+    """Count and width of the fewest equal panels of [lo, hi] no wider than
+    mesh; CapacityError for more than MAX_GRID_POINTS."""
     ratio = (hi - lo) / mesh
     if not ratio <= MAX_GRID_POINTS:
         raise CapacityError(
@@ -138,8 +136,32 @@ def midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float]
             f"{MAX_GRID_POINTS:.3g}"
         )
     panels = int(math.ceil(ratio))
-    step = (hi - lo) / panels
-    return lo + (np.arange(panels) + 0.5) * step, step
+    return panels, (hi - lo) / panels
+
+
+def _midpoints(lo: float, step: float, a: int, b: int) -> np.ndarray:
+    """Midpoints a..b-1 of the panels of width step from lo."""
+    return lo + (np.arange(a, b) + 0.5) * step
+
+
+def midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float]:
+    """Midpoints of the fewest equal panels of [lo, hi] no wider than mesh,
+    and the panel width.
+
+    Raises CapacityError, before any array is made, for more than
+    MAX_GRID_POINTS panels.
+    """
+    panels, step = _panels(lo, hi, mesh)
+    return _midpoints(lo, step, 0, panels), step
+
+
+def _midpoint_pieces(lo: float, hi: float, mesh: float, workers: int = 1):
+    """(panels, step, pieces) for the grid of midpoint_grid(lo, hi, mesh),
+    which is never made whole: pieces yields its eval_grid pieces in order,
+    as (start, t, (Z, Z', theta, theta')), each with the bits of its slice of
+    eval_grid(midpoint_grid(lo, hi, mesh)[0], workers)."""
+    panels, step = _panels(lo, hi, mesh)
+    return panels, step, _grid_pieces(lambda a, b: _midpoints(lo, step, a, b), panels, workers)
 
 
 def moment_grids(
@@ -158,14 +180,55 @@ def moment_grids(
     return eval_grid(ts, workers=workers), eval_grid(ts_half, workers=workers)
 
 
+def _integrand_scratch(size: int) -> np.ndarray:
+    """The two buffers `_integrand_into` needs for pieces of a grid of size
+    points."""
+    return np.empty((2, min(size, _GRID_PIECE)))
+
+
+def _integrand_into(
+    out: np.ndarray,
+    z: np.ndarray,
+    z_prime: np.ndarray,
+    theta_prime: np.ndarray,
+    k: float,
+    h: float,
+    target: str,
+    scratch: np.ndarray,
+) -> None:
+    """Writes the integrand of one piece into out, with |Z| and the squares
+    in the rows of scratch (see `integrand`).  Each value comes from the
+    same floating-point operations as GridData.dabs2 and the power product,
+    so it has the same bits."""
+    za, tmp = scratch[:, : out.size]
+    np.abs(z, out=za)
+    if TARGETS[target]:
+        np.square(za, out=out)  # Z^2
+        out *= np.square(theta_prime, out=tmp)
+        out += np.square(z_prime, out=tmp)
+    else:
+        np.square(z_prime, out=out)
+    out **= h
+    if h > k:
+        np.maximum(za, ABS_FLOOR, out=za)
+    za **= 2.0 * k - 2.0 * h
+    out *= za
+
+
 def integrand(grid: GridData, k: float, h: float, target: str) -> np.ndarray:
     """|zeta|^(2k-2h) |target'|^(2h) on grid, with |Z| floored at ABS_FLOOR
-    when the first power is negative (h > k)."""
-    za = np.abs(grid.Z)
-    dz2 = grid.dabs2(target)
-    if h > k:
-        za = np.maximum(za, ABS_FLOOR)
-    return za ** (2.0 * k - 2.0 * h) * dz2**h
+    when the first power is negative (h > k).  Computed piece by piece into
+    one array, so its only temporaries are two piece-sized buffers."""
+    if target not in TARGETS:
+        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+    out = np.empty(grid.t.size)
+    scratch = _integrand_scratch(out.size)
+    for lo in range(0, out.size, _GRID_PIECE):
+        part = slice(lo, lo + _GRID_PIECE)
+        _integrand_into(
+            out[part], grid.Z[part], grid.Z_prime[part], grid.theta_prime[part], k, h, target, scratch
+        )
+    return out
 
 
 def _rule_bandwidth(req: MomentRequest, mesh: float) -> float | None:
@@ -213,6 +276,23 @@ def _end_derivatives(req: MomentRequest, omega: float) -> tuple[np.ndarray, np.n
     return d1, d3
 
 
+def _estimate(
+    req: MomentRequest, panels: int, value: float, omega: float | None, value_half: float | None
+) -> MomentEstimate:
+    """The estimate from the midpoint value on `panels` panels: with the two
+    endpoint terms when omega (`_rule_bandwidth`) is given, else with the
+    mesh-halving error from value_half."""
+    mesh = req.T / panels
+    if omega is not None:
+        d1, d3 = _end_derivatives(req, omega)
+        h4_coef = 7.0 * mesh**4 / 5760.0
+        value = float(value + mesh**2 / 24.0 * (d1[1] - d1[0]) - h4_coef * (d3[1] - d3[0]))
+        est = h4_coef * float(np.sum(np.abs(d3))) / value if value > 0.0 else 0.0
+    else:
+        est = 2.0 * abs(value - value_half) / value_half if value_half > 0.0 else 0.0
+    return MomentEstimate(value, mesh, panels, est, req, req.h > req.k)
+
+
 def joint_moment_on_grids(
     req: MomentRequest, grid: GridData, grid_half: GridData | None = None
 ) -> MomentEstimate:
@@ -233,44 +313,43 @@ def joint_moment_on_grids(
     doubling).
     """
     panels = grid.t.size
-    mesh = req.T / panels
-    # vals lives until return: freed before the temporaries below, the same
-    # sums ran about 5 % slower in the allocation-bound Hoelder sweep.
-    vals = integrand(grid, req.k, req.h, req.target)
-    value = float(np.sum(vals) * mesh)
-    omega = _rule_bandwidth(req, mesh)
-    if omega is not None:
-        d1, d3 = _end_derivatives(req, omega)
-        h4_coef = 7.0 * mesh**4 / 5760.0
-        value = float(value + mesh**2 / 24.0 * (d1[1] - d1[0]) - h4_coef * (d3[1] - d3[0]))
-        est = h4_coef * float(np.sum(np.abs(d3))) / value if value > 0.0 else 0.0
-    elif grid_half is None:
-        raise ConfigError(f"(k, h) = ({req.k}, {req.h}) on this mesh needs the half-mesh grid")
-    else:
+    value = float(np.sum(integrand(grid, req.k, req.h, req.target)) * (req.T / panels))
+    omega = _rule_bandwidth(req, req.T / panels)
+    value_half = None
+    if omega is None:
+        if grid_half is None:
+            raise ConfigError(f"(k, h) = ({req.k}, {req.h}) on this mesh needs the half-mesh grid")
         vals_half = integrand(grid_half, req.k, req.h, req.target)
         value_half = float(np.sum(vals_half) * (req.T / grid_half.t.size))
-        est = 2.0 * abs(value - value_half) / value_half if value_half > 0.0 else 0.0
-    return MomentEstimate(value, mesh, panels, est, req, req.h > req.k)
+    return _estimate(req, panels, value, omega, value_half)
 
 
-# joint_moment calls the estimator by this private name, which perfbench's
-# tracer leaves unwrapped: its counter for joint_moment_on_grids reads
-# grid_half.t.size, and joint_moment passes None for band-limited pairs.
-_moment_on_grids = joint_moment_on_grids
+def _midpoint_value(req: MomentRequest, mesh: float, workers: int) -> tuple[float, int]:
+    """The midpoint sum of the integrand on midpoint_grid(T, 2T, mesh), and
+    its panel count, from the grid's pieces: only the integrand values are
+    kept, one float64 per point, for the same whole-array np.sum as
+    `joint_moment_on_grids`."""
+    panels, _, pieces = _midpoint_pieces(req.T, 2.0 * req.T, mesh, workers)
+    vals = np.empty(panels)
+    scratch = _integrand_scratch(panels)
+    for lo, t, (z, z_prime, _, theta_prime) in pieces:
+        _integrand_into(
+            vals[lo : lo + t.size], z, z_prime, theta_prime, req.k, req.h, req.target, scratch
+        )
+    return float(np.sum(vals) * (req.T / panels)), panels
 
 
 def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
     """Joint moment on the mesh of `moment_mesh`: one grid, plus one at half
     its mesh when the pair takes the mesh-halving estimate (see
-    joint_moment_on_grids)."""
+    joint_moment_on_grids).  The grids are streamed piece by piece, never
+    held whole; the result equals joint_moment_on_grids on the grids of
+    `midpoint_grid`, bit for bit."""
     mesh = moment_mesh(req)
-    ts, step = midpoint_grid(req.T, 2.0 * req.T, mesh)
-    grid = eval_grid(ts, workers=workers)
-    grid_half = None
-    if _rule_bandwidth(req, step) is None:
-        ts_half, _ = midpoint_grid(req.T, 2.0 * req.T, mesh / 2.0)
-        grid_half = eval_grid(ts_half, workers=workers)
-    return _moment_on_grids(req, grid, grid_half)
+    value, panels = _midpoint_value(req, mesh, workers)
+    omega = _rule_bandwidth(req, req.T / panels)
+    value_half = None if omega is not None else _midpoint_value(req, mesh / 2.0, workers)[0]
+    return _estimate(req, panels, value, omega, value_half)
 
 
 def conjectured_power_ratio(est: MomentEstimate) -> float:

@@ -21,11 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critline import MAX_HEIGHT, RS_MIN_T, TARGETS, TWO_PI, eval_grid, zeta_em_vec
+from .critline import MAX_HEIGHT, RS_MIN_T, TARGETS, TWO_PI, zeta_em_vec
 from .csvio import write_csv
 from .dirpoly import DirichletPoly, factorize, poly_eval_grid
 from .errors import CapacityError, DomainError, TruncationError
-from .moments import integrand, mean_zero_gap, midpoint_grid
+from .moments import _integrand_into, _integrand_scratch, _midpoint_pieces, mean_zero_gap
 
 DEFAULT_PAIR_CAP = 100_000_000
 
@@ -634,13 +634,24 @@ def twisted_direct(
 ) -> float:
     """Direct midpoint quadrature of the weighted integrand times
     |A(1/2+it)|^2 phi(t/T) over the support of the cutoff, on the mesh
-    of `direct_mesh`."""
+    of `direct_mesh`.
+
+    The grid is streamed piece by piece (`moments._midpoint_pieces`); only
+    the weighted values are kept, one float64 per point, and summed by one
+    np.sum, so the result has the bits of np.sum(integrand(eval_grid(ts))
+    * amps * phi(ts / T)) * step on the whole grid ts.
+    """
     mesh = direct_mesh(a, T, weight, phi, points_per_gap)
     z2_power, target = WEIGHTS[weight]
-    ts, step = midpoint_grid(phi.support[0] * T, phi.support[1] * T, mesh)
-    vals = integrand(eval_grid(ts, workers=workers), z2_power + 1, 1, target)
-    amps = np.abs(poly_eval_grid(a, ts)) ** 2
-    return float(np.sum(vals * amps * phi(ts / T)) * step)
+    panels, step, pieces = _midpoint_pieces(phi.support[0] * T, phi.support[1] * T, mesh, workers)
+    vals = np.empty(panels)
+    scratch = _integrand_scratch(panels)
+    for lo, ts, (z, z_prime, _, theta_prime) in pieces:
+        out = vals[lo : lo + ts.size]
+        _integrand_into(out, z, z_prime, theta_prime, z2_power + 1, 1, target, scratch)
+        out *= np.abs(poly_eval_grid(a, ts)) ** 2
+        out *= phi(ts / T)
+    return float(np.sum(vals) * step)
 
 
 # ---------------------------------------------------------------------------

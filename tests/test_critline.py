@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from zetalab.critline import (
     RS_ROUNDOFF_COEF,
+    GridData,
     _GRID_PIECE,
     _LATTICE_MIN_N,
     _MAIN_SUM_SETUPS,
@@ -28,7 +30,7 @@ from zetalab.critline import (
     zeta_em_vec,
 )
 from zetalab.errors import DomainError
-from zetalab.gridcache import read_grid, write_grid
+from zetalab.gridcache import _WRITE_ROWS, read_grid, write_grid
 
 TWO_PI = 2.0 * math.pi
 FD_STEP = 1.0e-3
@@ -592,6 +594,20 @@ def test_grid_cache_roundtrip(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"ZML1"
     assert raw[4] == 1
+
+
+def test_grid_cache_bytes_across_write_pieces(tmp_path):
+    # Records written piece by piece read as one interleaved (rows, 5)
+    # little-endian float64 table after the header, whatever the number
+    # of pieces.
+    rng = np.random.default_rng(3)
+    for rows in (0, 1, _WRITE_ROWS, 2 * _WRITE_ROWS + 77):
+        cols = rng.standard_normal((5, rows)) * 10.0 ** rng.integers(-300, 300, (5, rows))
+        grid = GridData(*cols, est_abs_error=1.25e-9)
+        path = tmp_path / f"grid{rows}.zml"
+        write_grid(grid, path)
+        header = b"ZML1" + struct.pack("<B", 1) + struct.pack("<d", 1.25e-9) + struct.pack("<Q", rows)
+        assert path.read_bytes() == header + np.ascontiguousarray(cols.T, dtype="<f8").tobytes()
 
 
 def test_grid_cache_rejects_noise(tmp_path):

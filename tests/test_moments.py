@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from zetalab.critline import TWO_PI, eval_grid
+from zetalab.critline import _GRID_PIECE, TWO_PI, GridData, eval_grid
 from zetalab.errors import ConfigError, DomainError
 from zetalab.moments import (
+    ABS_FLOOR,
     MomentRequest,
     conjectured_power_ratio,
     joint_moment,
@@ -14,6 +16,7 @@ from zetalab.moments import (
     midpoint_grid,
     moment_grids,
     moment_mesh,
+    integrand,
     scaling_report,
     write_moment_csv,
 )
@@ -233,3 +236,65 @@ def test_cusp_route_unchanged():
     assert est.panels == grid.t.size
     with pytest.raises(ConfigError):
         joint_moment_on_grids(req, grid)
+
+
+@pytest.mark.parametrize(
+    "req",
+    [MomentRequest(1.2e4, 1.0, 0.0), MomentRequest(1.0e3, 1.5, 0.75)],
+    ids=["band_limited_1.2e4", "cusp_1e3"],
+)
+def test_streamed_moment_matches_whole_grids(req):
+    # joint_moment evaluates its grids piece by piece and keeps only the
+    # integrand values; on the whole grids of midpoint_grid the estimator
+    # gives the same result to the bit, at any worker count.  At 1.2e4 the
+    # (1, 0) grid has N >= 43, so the lattice route runs, over 7 full
+    # pieces and a partial one.
+    mesh = moment_mesh(req)
+    ts, _ = midpoint_grid(req.T, 2.0 * req.T, mesh)
+    grids = [eval_grid(ts)]
+    if req.h % 1.0:
+        grids.append(eval_grid(midpoint_grid(req.T, 2.0 * req.T, mesh / 2.0)[0]))
+    else:
+        assert ts.size > 7 * _GRID_PIECE and ts.size % _GRID_PIECE
+        assert math.floor(math.sqrt(req.T / TWO_PI)) >= 43
+    whole = joint_moment_on_grids(req, *grids)
+    for workers in (1, 2):
+        assert joint_moment(req, workers) == whole
+
+
+def test_piecewise_integrand_matches_whole_array_expression():
+    # integrand works piece by piece with reused buffers; every value has
+    # the bits of the whole-array expression, including the ABS_FLOOR branch
+    # (h > k) at zeros and tiny values of Z, and k = h.
+    rng = np.random.default_rng(8)
+    n = 2 * _GRID_PIECE + 123
+    z = rng.standard_normal(n) * 10.0 ** rng.uniform(-12.0, 1.0, n)
+    z[::997] = 0.0
+    grid = GridData(np.arange(n, dtype=float), z, rng.standard_normal(n) * 3.0,
+                    rng.standard_normal(n), rng.uniform(2.0, 8.0, n), 0.0)
+    assert np.any(np.abs(z) < ABS_FLOOR)
+    for k, h in ((1.0, 1.4), (1.5, 1.5), (1.5, 0.75), (1.0, 0.0), (2.0, 1.0)):
+        for target in ("zeta", "hardyZ"):
+            za = np.abs(grid.Z)
+            if h > k:
+                za = np.maximum(za, ABS_FLOOR)
+            expected = za ** (2.0 * k - 2.0 * h) * grid.dabs2(target) ** h
+            assert np.array_equal(integrand(grid, k, h, target), expected), (k, h, target)
+
+
+def test_streamed_moment_memory_is_per_piece():
+    # (1, 0) at 1e5 has 660 060 points.  A whole grid and the integrand's
+    # temporaries peak near 46 MB of numpy buffers; streamed, the values
+    # (5.3 MB) and a few piece-sized buffers remain.  The first call fills
+    # the package's caches, so the traced call sees only its own arrays.
+    req = MomentRequest(1.0e5, 1.0, 0.0)
+    first = joint_moment(req)
+    tracemalloc.start()
+    try:
+        again = joint_moment(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert first.panels == 660_060
+    assert peak < 16.0e6, peak

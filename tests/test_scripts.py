@@ -38,19 +38,29 @@ def _summary(wall, rss, failed=0):
                         "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
+def _report(passes, cal, sweep):
+    return {"workload": "dense", "passes": len(passes), "pass_raw_s": passes, "calibration_s": cal,
+            "env": {}, "report": {"holder_sweep_s": {"value": sweep, "unit": "s"},
+                                  "eval_rows_per_s": {"value": 1.0e5 / sweep, "unit": "1/s"}}}
+
+
 def test_bench_pairs_summary_from_canned_lines():
     bench = _load_bench_pairs()
     assert [bench.pair_order(i) for i in range(3)] == [
         ("base", "change"), ("change", "base"), ("base", "change")]
     walls = {"base": [10.0, 11.0, 12.0, 10.5, 13.0], "change": [6.0, 6.5, 12.5, 5.5, 7.0]}
     runs = [
-        {"workload": "dense", "pair": i, "seed": 11 + i, "side": side,
-         "summary": _summary(walls[side][i], 100.0 + (side == "change"), failed=i == 4)}
+        bench.run_record("dense", i, 11 + i, side,
+                         _report([walls[side][i], 2.0 * walls[side][i], 1.0], 0.008 + i / 1000, 0.7 - i / 10),
+                         _summary(walls[side][i], 100.0 + (side == "change"), failed=i == 4))
         for i in range(5) for side in bench.pair_order(i)
     ]
     # An unpaired run is kept in the record but left out of the figures.
-    runs.append({"workload": "dense", "pair": 5, "seed": 16, "side": "base",
-                 "summary": _summary(1.0, 1.0)})
+    runs.append(bench.run_record("dense", 5, 16, "base", _report([9.0], 1.0, 9.0),
+                                 _summary(1.0, 1.0)))
+    assert runs[0]["report"] == {"holder_sweep_s": 0.7, "eval_rows_per_s": 1.0e5 / 0.7}
+    assert runs[0]["pass_raw_s"] == [10.0, 20.0, 1.0]
+    assert (runs[0]["passes"], runs[0]["calibration_s"]) == (3, 0.008)
     better = {"wall_s": "lower", "peak_rss_mb": "lower"}
     summary = bench.summarize(runs, better)
     assert json.loads(json.dumps(summary)) == summary
@@ -69,3 +79,11 @@ def test_bench_pairs_summary_from_canned_lines():
     # For a metric where higher is better the win count flips.
     flipped = bench.summarize(runs, {"wall_s": "higher"})["dense"]["wall_s"]
     assert (flipped["change_wins"], flipped["change_losses"]) == (1, 4)
+    # Report figures: per side, the median over paired runs; pass_raw_s is
+    # the median of each run's median pass, here its wall.
+    medians = fig["report_medians"]
+    assert set(medians) == {"passes", "pass_raw_s", "calibration_s", "holder_sweep_s", "eval_rows_per_s"}
+    assert medians["pass_raw_s"] == {"base": 11.0, "change": 6.5}
+    assert medians["passes"] == {"base": 3, "change": 3}
+    assert medians["calibration_s"] == {"base": 0.010, "change": 0.010}
+    assert medians["holder_sweep_s"] == {"base": 0.7 - 2 / 10, "change": 0.7 - 2 / 10}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zetalab import twisted
-from zetalab.critline import eval_grid, zeta_em_vec
+from zetalab.critline import _GRID_PIECE, TWO_PI, eval_grid, zeta_em_vec
 from zetalab.dirpoly import DirichletPoly, poly_eval_grid
 from zetalab.errors import CapacityError, DomainError, TruncationError
 from zetalab.moments import MomentRequest, integrand, joint_moment, mean_zero_gap, midpoint_grid
@@ -442,6 +442,24 @@ def test_direct_weights_match_independent_midpoint_sum():
         ref = float(np.sum(vals * amps * PHI(ts / T)) * step)
         value = twisted_direct(poly, T, weight, PHI, points_per_gap=20)
         assert value == pytest.approx(ref, rel=1e-12)
+
+
+def test_direct_streamed_matches_whole_grid():
+    # twisted_direct evaluates its grid piece by piece and keeps only the
+    # weighted values; the whole-grid expression gives the same bits, at any
+    # worker count.  At 1e4 the grids span 6 to 11 pieces, the last one
+    # partial, and the lattice route runs above t = 2 pi 43^2.
+    T = 1.0e4
+    poly = DirichletPoly.from_coeffs({1: 1.0, 2: 1.0, 3: -0.5})
+    for weight, (z2_power, target) in twisted.WEIGHTS.items():
+        lo, hi = PHI.support[0] * T, PHI.support[1] * T
+        ts, step = midpoint_grid(lo, hi, direct_mesh(poly, T, weight, PHI))
+        assert ts.size > 5 * _GRID_PIECE and ts.size % _GRID_PIECE and ts[-1] > TWO_PI * 43**2
+        vals = integrand(eval_grid(ts), z2_power + 1, 1, target)
+        amps = np.abs(poly_eval_grid(poly, ts)) ** 2
+        expected = float(np.sum(vals * amps * PHI(ts / T)) * step)
+        for workers in (1, 2):
+            assert twisted_direct(poly, T, weight, PHI, workers) == expected, (weight, workers)
 
 
 @pytest.mark.parametrize("T", [1.0e3, 1.0e4])
