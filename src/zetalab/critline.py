@@ -667,9 +667,7 @@ def _main_sum_setup(n_max: int) -> tuple[np.ndarray, tuple[int, ...], np.ndarray
     return ns, tuple(level.tolist()), phase, factors, weights
 
 
-def _main_sum(
-    t: np.ndarray, n_floor: np.ndarray, work: _Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _main_sum(t: np.ndarray, n_floor: np.ndarray, work: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """S = sum 2 n^{-1/2} n^{-it} and S' = sum 2 n^{-1/2} log n n^{-it} over
     1 <= n <= n_floor at each height t, as two complex arrays.
 
@@ -683,8 +681,6 @@ def _main_sum(
     block's largest N and comes from `_main_sum_setup`.  Block boundaries
     depend only on t.  The table is work's "scratch" buffer.
     """
-    if work is None:
-        work = _Workspace()
     s = np.empty(t.shape, dtype=complex)
     ds = np.empty_like(s)
     rows = max(1, _MAIN_SUM_BUDGET // int(n_floor.max(initial=1)))

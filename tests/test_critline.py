@@ -1,5 +1,7 @@
 import math
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -503,6 +505,24 @@ def _uniform(t_start, pieces):
     a whole number of eval_grid pieces plus a part of one."""
     step = TWO_PI / math.log(t_start / TWO_PI) / 20
     return t_start + (np.arange(pieces * _GRID_PIECE + 1234) + 0.5) * step
+
+
+def test_eval_grid_threads_keep_their_workspaces():
+    # More threads than cores share the pieces, each piece on a workspace
+    # that no other running piece holds; with a short switch interval, a
+    # workspace shared by two running pieces would mix their tables.  The
+    # bytes must match one thread.
+    ts = _uniform(1.0e5, 6)
+    one = eval_grid(ts, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=1) as runner:
+            many = runner.submit(eval_grid, ts, 8).result(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    for col in ("Z", "Z_prime", "theta", "theta_prime"):
+        assert np.array_equal(getattr(one, col), getattr(many, col)), col
 
 
 def _direct(ts):
