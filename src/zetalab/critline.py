@@ -539,7 +539,9 @@ def _rs_corrections(p: np.ndarray, work: _Workspace | None = None) -> tuple[np.n
     models = _rs_models()
     x = 2.0 * p - 1.0
     y = 2.0 * x * x - 1.0
-    g, dg = np.split(models @ _chebyshev_basis(y, models.shape[1], work), 2)
+    values = models @ _chebyshev_basis(y, models.shape[1], work)
+    half = values.shape[0] // 2
+    g, dg = values[:half], values[half:]
     dg *= 8.0 * x  # dy/dp = 8x
     odd = slice(1, None, 2)  # C_k = x g_k(y) for odd k
     dg[odd] *= x
@@ -695,8 +697,10 @@ def _main_sum(t: np.ndarray, n_floor: np.ndarray, work: _Workspace) -> tuple[np.
         for lo_k, hi_k in zip(level[2:-1], level[3:]):
             a, b = factors[:, lo_k - level[2] : hi_k - level[2]]
             np.multiply(table[a], table[b], out=table[lo_k:hi_k])
-        short = ns > nb.min()
-        table[short] *= ns[short, None] <= nb
+        n_min = int(nb.min())
+        if n_min < ns.size:  # ns lists 1..n_max
+            short = ns > n_min
+            table[short] *= ns[short, None] <= nb
         s[block], ds[block] = (weights @ table.view(float)).view(complex)
     return s, ds
 

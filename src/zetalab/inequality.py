@@ -29,6 +29,17 @@ VARIANTS = ("full_product", "partial_product")
 # Exact rational ceil is affordable up to this many primes per range.
 _EXACT_CEIL_MAX_PRIMES = 10_000
 
+# Largest height set the memo of `_height_work` keeps: at 2^16 heights its
+# heights, grid and the prime sums of a few ranges take about 5 MB.  A
+# larger call leaves the memo as it was, so it is never held after return.
+_MEMO_MAX_HEIGHTS = 1 << 16
+
+# One entry, (key, grid or None, scheme, prime sums), or None: the work of
+# the last height set that depends on the heights and the scheme alone.
+# The entry is replaced as one tuple and read once per call, so concurrent
+# callers each see a whole entry.
+_memo: tuple | None = None
+
 
 @dataclass(frozen=True)
 class InterpolationConfig:
@@ -60,19 +71,64 @@ def penalty_exponent(cfg: InterpolationConfig, v: int) -> int:
     return math.ceil(cfg.c_p * cfg.scheme.variance(v) * (1.0 + 1.0e-12))
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
+
+def _height_work(
+    t: np.ndarray | GridData, scheme: IncrementScheme
+) -> tuple[GridData, tuple[np.ndarray, ...]]:
+    """The grid of ascending heights t (given as heights or as their
+    `eval_grid` samples) and the prime sums P_v(1/2 + it), v = 2..ell.
+
+    Both come from the memo when its heights have the bytes of t and, for
+    the prime sums, its scheme is this scheme object; what is computed
+    replaces the entry.  A given grid is used as it is and never stored:
+    from a grid, the memo keeps the prime sums and its own copy of the
+    heights.  Arrays the memo hands out are read-only.
+    """
+    global _memo
+    given = t if isinstance(t, GridData) else None
+    heights = given.t if given is not None else np.asarray(t, dtype=float)
+    key = (heights.shape, heights.tobytes())
+    entry = _memo
+    if entry is None or entry[0] != key:
+        entry = (key, None, None, ())
+    key, grid, cached_scheme, psums = entry
+    if grid is None and given is None:
+        # Samples of a read-only view of the key: a later change to the
+        # caller's array cannot reach them.
+        grid = eval_grid(np.frombuffer(key[1]).reshape(key[0]))
+        _read_only(grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
+    if cached_scheme is not scheme:
+        psums = tuple(prime_sum_at(scheme, v, 0.5 + 1j * heights) for v in range(2, scheme.ell + 1))
+        _read_only(*psums)
+    if heights.size <= _MEMO_MAX_HEIGHTS:
+        _memo = (key, grid, scheme, psums)
+    return (given if given is not None else grid), psums
+
+
 def interpolation_sides_grid(
     t: np.ndarray | GridData, cfg: InterpolationConfig, target: str = "zeta"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vector (lhs, rhs) of the pointwise bound over an ascending grid, given
-    as heights or as their `eval_grid` samples (which several configurations
-    can then share).
+    as heights or as their `eval_grid` samples.
 
     One pass over the ranges: each range's prime sum P_v(1/2 + it) gives its
     penalty weight and both increment factors |N_v(k - 2)|^2, |N_v(k - 1)|^2,
     which extend the running products; the prefix products before range v
     are kept for its penalty term.
+
+    The grid and the prime sums depend only on the heights and the scheme,
+    so a one-entry memo keeps those of the last height set of at most
+    _MEMO_MAX_HEIGHTS heights: a call whose heights have the same bytes
+    and whose scheme is the same object reuses them, and any other call
+    replaces them.  Heights given as an array take both from the memo; a
+    `GridData` is used as given (the explicit way to share one grid among
+    configurations, at any size) and takes only the prime sums.
     """
-    grid = t if isinstance(t, GridData) else eval_grid(np.asarray(t, dtype=float))
+    grid, psums = _height_work(t, cfg.scheme)
     t = grid.t
     za = np.abs(grid.Z)
     dz2 = grid.dabs2(target)
@@ -82,9 +138,8 @@ def interpolation_sides_grid(
     scheme = cfg.scheme
     prod_m2 = prod_m1 = np.ones(t.shape)
     penalties = []  # (prefix k - 2, prefix k - 1, weight) per range with P_v > 0
-    for v in range(2, scheme.ell + 1):
+    for v, psum in zip(range(2, scheme.ell + 1), psums):
         pv = scheme.variance(v)
-        psum = prime_sum_at(scheme, v, 0.5 + 1j * t)
         if pv != 0.0:
             m_v = penalty_exponent(cfg, v)
             apsum = np.abs(psum)
@@ -141,12 +196,20 @@ def check_interpolation(
     grid: np.ndarray | GridData, cfg: InterpolationConfig, target: str = "zeta"
 ) -> InterpolationReport:
     """Pointwise pass/fail over heights (sorted here) or an `eval_grid`
-    result; failures are data, not exceptions."""
+    result; failures are data, not exceptions.
+
+    The sides come from `interpolation_sides_grid` and its memo, keyed on
+    the bytes of the sorted heights and on the scheme object: checking
+    several configurations on one set of at most _MEMO_MAX_HEIGHTS heights
+    evaluates the grid and the prime sums once.  Passing one `GridData`
+    to every call still shares the grid explicitly, at any size.
+    """
     if not isinstance(grid, GridData):
-        grid = eval_grid(np.sort(np.asarray(grid, dtype=float)))
+        grid = np.sort(np.asarray(grid, dtype=float))
     lhs, rhs = interpolation_sides_grid(grid, cfg, target)
+    t = grid.t if isinstance(grid, GridData) else grid
     margin = rhs - lhs
-    return InterpolationReport(grid.t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
+    return InterpolationReport(t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
 
 
 def write_interpolation_csv(report: InterpolationReport, path) -> None:

@@ -217,18 +217,35 @@ def custom_scheme(
     )
 
 
+# Entries p^{-s} in one block of the (argument, prime) table of
+# `prime_sum_at`, 2 MB of complex.  A table of the whole argument array
+# grows as arguments x primes: 20 000 heights against a range of 1219
+# primes took the `inequality` command to a 790 MB peak.
+_PRIME_SUM_BUDGET = 1 << 17
+
+
 def prime_sum_at(scheme: IncrementScheme, j: int, s):
     """Sum of p^{-s} over the j-th prime range, ascending order.
 
     An array of s gives the array of sums and a complex scalar s its sum,
-    as complex numbers, by one expression.  Real scalar s reuses the
-    accumulation that produced the stored variances, so
-    prime_sum_at(scheme, j, 1) == scheme.variance(j) exactly.
+    as complex numbers, by one expression.  Arrays are taken in blocks of
+    arguments whose table stays within _PRIME_SUM_BUDGET entries; each
+    argument's row is summed whole, so the blocking leaves every sum's
+    bits unchanged.  Real scalar s reuses the accumulation that produced
+    the stored variances, so prime_sum_at(scheme, j, 1) == scheme.variance(j)
+    exactly.
     """
     chunk = scheme.prime_range(j).astype(float)
     if np.ndim(s) or (isinstance(s, complex) and s.imag != 0.0):
-        sums = np.exp(-np.asarray(s, dtype=complex)[..., None] * np.log(chunk)).sum(axis=-1)
-        return sums if np.ndim(s) else complex(sums)
+        args = np.asarray(s, dtype=complex)
+        flat = args.reshape(-1)
+        log_p = np.log(chunk)
+        sums = np.empty(flat.shape, dtype=complex)
+        rows = max(1, _PRIME_SUM_BUDGET // max(1, chunk.size))
+        for lo in range(0, flat.size, rows):
+            block = slice(lo, lo + rows)
+            sums[block] = np.exp(-flat[block, None] * log_p).sum(axis=-1)
+        return sums.reshape(args.shape) if np.ndim(s) else complex(sums[0])
     return float(np.add.reduce(np.power(chunk, -float(s.real if isinstance(s, complex) else s))))
 
 

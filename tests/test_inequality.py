@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -148,16 +150,28 @@ def test_sides_match_per_twist_composition(toy_scheme, monkeypatch):
                 assert np.array_equal(lhs, lhs_ref)
                 assert np.max(np.abs(rhs - rhs_ref) / rhs_ref) <= 1e-14
                 assert np.array_equal(lhs <= rhs, lhs_ref <= rhs_ref)
-    # One prime sum per range, for both twists and the penalty weight.
+    # One prime sum per range, for both twists and the penalty weight, on a
+    # height set or scheme the memo has not seen; none on a repeat.
     calls = []
 
     def counted(*args):
         calls.append(args[1])
         return prime_sum_at(*args)
 
+    def count(heights, scheme):
+        calls.clear()
+        interpolation_sides_grid(heights, InterpolationConfig(k=1.5, scheme=scheme))
+        return len(calls)
+
     monkeypatch.setattr(inequality, "prime_sum_at", counted)
-    interpolation_sides_grid(t, InterpolationConfig(k=1.5, scheme=toy_scheme))
-    assert len(calls) == toy_scheme.ell - 1
+    fresh = t + 0.5
+    assert count(fresh, toy_scheme) == toy_scheme.ell - 1
+    assert count(fresh, toy_scheme) == 0
+    twin = custom_scheme(1.0e5, toy_scheme.boundaries, sieve_primes(100))
+    assert count(fresh, twin) == twin.ell - 1
+    assert count(fresh, twin) == 0
+    fresh[0] -= 0.25
+    assert count(fresh, twin) == twin.ell - 1
 
 
 def test_empty_ranges_change_nothing():
@@ -221,6 +235,96 @@ def test_shared_grid_matches_heights(toy_scheme):
                 rep = check_interpolation(grid, cfg, target)
                 assert rep.t is grid.t
                 assert np.array_equal(rep.margin, by_heights[1] - by_heights[0])
+
+
+def _report_bytes(rep):
+    return [a.tobytes() for a in (rep.t, rep.lhs, rep.rhs, rep.margin, rep.passed)]
+
+
+def test_memo_keeps_the_bits(toy_scheme, monkeypatch):
+    # Every configuration gives the same bytes on a miss, on a hit and from
+    # the explicit grid.
+    ts = np.random.default_rng(11).uniform(1.0e4, 1.01e4, 200)
+    grid = eval_grid(np.sort(ts))
+    for k in (1.0, 1.3, 1.7, 2.0):
+        for variant in inequality.VARIANTS:
+            cfg = InterpolationConfig(k=k, scheme=toy_scheme, variant=variant)
+            for target in ("zeta", "hardyZ"):
+                monkeypatch.setattr(inequality, "_memo", None)
+                miss = _report_bytes(check_interpolation(ts, cfg, target))
+                assert inequality._memo is not None
+                hit = _report_bytes(check_interpolation(ts, cfg, target))
+                monkeypatch.setattr(inequality, "_memo", None)
+                by_grid = _report_bytes(check_interpolation(grid, cfg, target))
+                assert miss == hit == by_grid
+
+
+def test_memo_arrays_are_protected(toy_scheme, monkeypatch):
+    monkeypatch.setattr(inequality, "_memo", None)
+    cfg = InterpolationConfig(k=1.5, scheme=toy_scheme)
+    ts = np.sort(np.random.default_rng(12).uniform(1.0e4, 1.01e4, 150))
+    want = _report_bytes(check_interpolation(ts.copy(), cfg))
+    _, memo_grid, _, psums = inequality._memo
+    for arr in (memo_grid.t, memo_grid.Z, memo_grid.Z_prime, memo_grid.theta,
+                memo_grid.theta_prime, *psums):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # Writing the caller's arrays, or the report's, changes no later result.
+    rep = check_interpolation(ts, cfg)
+    rep.t[:] = 1.0e4
+    rep.lhs[:] = 0.0
+    assert _report_bytes(check_interpolation(ts, cfg)) == want
+    moved = ts.copy()
+    ts += 1.0
+    assert _report_bytes(check_interpolation(ts, cfg)) != want
+    assert _report_bytes(check_interpolation(moved, cfg)) == want
+    # A grid the caller passed keeps its flags and shares its t.
+    grid = eval_grid(ts)
+    rep = check_interpolation(grid, cfg)
+    assert rep.t is grid.t
+    assert all(a.flags.writeable for a in (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime))
+    assert inequality._memo[1] is not grid
+
+
+def test_memo_skips_large_height_sets(toy_scheme, monkeypatch):
+    limit = inequality._MEMO_MAX_HEIGHTS
+    cfg = InterpolationConfig(k=1.5, scheme=toy_scheme)
+    monkeypatch.setattr(inequality, "_memo", None)
+    check_interpolation(np.linspace(1.0e4, 1.01e4, limit + 1), cfg)
+    assert inequality._memo is None
+    check_interpolation(np.linspace(1.0e4, 1.01e4, limit), cfg)
+    kept = inequality._memo
+    assert kept[1].t.size == limit
+    check_interpolation(np.linspace(1.0e4, 1.01e4, limit + 1), cfg)
+    assert inequality._memo is kept
+
+
+def test_memo_threads_alternating_height_sets(toy_scheme, monkeypatch):
+    monkeypatch.setattr(inequality, "_memo", None)
+    cfg = InterpolationConfig(k=1.3, scheme=toy_scheme, variant="partial_product")
+    rng = np.random.default_rng(13)
+    sets = [np.sort(rng.uniform(1.0e4, 1.01e4, 120)) for _ in range(2)]
+    want = [_report_bytes(check_interpolation(ts, cfg)) for ts in sets]
+    errors = []
+
+    def work(start):
+        for i in range(30):
+            j = (start + i) % 2
+            if _report_bytes(check_interpolation(sets[j], cfg)) != want[j]:
+                errors.append((start, i))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1.0e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
 
 
 def test_check_interpolation_empty(toy_scheme):

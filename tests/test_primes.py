@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +190,32 @@ def test_prime_sum_complex_is_conjugate_symmetric():
     for i, si in enumerate(ss):
         assert sums[i] == pytest.approx(prime_sum_at(scheme, 2, complex(si)), rel=1e-14)
     assert sums[1] == pytest.approx(sums[0].conjugate(), rel=1e-14)
+
+
+def test_prime_sum_blocks_keep_bits_and_bound_memory():
+    # 1219 primes in [30, 9999): a block holds 107 arguments, so 600
+    # arguments take 6 blocks, the last one short.
+    scheme = custom_scheme(1.0e5, [E_SQUARED, 30.0, 9999.0], sieve_primes(10_000))
+    chunk = scheme.prime_range(3).astype(float)
+    assert chunk.size == 1219
+    rng = np.random.default_rng(5)
+    s = 0.5 + 1j * np.sort(rng.uniform(1.0e4, 1.1e4, 600))
+    whole = np.exp(-s[..., None] * np.log(chunk)).sum(axis=-1)
+    assert prime_sum_at(scheme, 3, s).tobytes() == whole.tobytes()
+    square = s[:576].reshape(24, 24)
+    by_rows = prime_sum_at(scheme, 3, square)
+    assert by_rows.shape == (24, 24)
+    assert by_rows.tobytes() == whole[:576].tobytes()
+    assert prime_sum_at(scheme, 3, complex(s[7])) == whole[7]
+    # 5000 arguments at once would make a 97 MB table.
+    many = 0.5 + 1j * rng.uniform(1.0e4, 1.1e4, 5000)
+    tracemalloc.start()
+    try:
+        prime_sum_at(scheme, 3, many)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10.0e6, peak
 
 
 def test_mertens_prediction_canonical_scheme():
