@@ -128,7 +128,12 @@ def interpolation_sides_grid(
     `GridData` is used as given (the explicit way to share one grid among
     configurations, at any size) and takes only the prime sums.
     """
-    grid, psums = _height_work(t, cfg.scheme)
+    return _sides(*_height_work(t, cfg.scheme), cfg, target)
+
+
+def _sides(
+    grid: GridData, psums: tuple[np.ndarray, ...], cfg: InterpolationConfig, target: str
+) -> tuple[np.ndarray, np.ndarray]:
     t = grid.t
     za = np.abs(grid.Z)
     dz2 = grid.dabs2(target)
@@ -198,18 +203,19 @@ def check_interpolation(
     """Pointwise pass/fail over heights (sorted here) or an `eval_grid`
     result; failures are data, not exceptions.
 
-    The sides come from `interpolation_sides_grid` and its memo, keyed on
+    Heights go through the memo of `interpolation_sides_grid`, keyed on
     the bytes of the sorted heights and on the scheme object: checking
     several configurations on one set of at most _MEMO_MAX_HEIGHTS heights
-    evaluates the grid and the prime sums once.  Passing one `GridData`
-    to every call still shares the grid explicitly, at any size.
+    evaluates the grid and the prime sums once, and their reports share
+    the memo's read-only t.  Passing one `GridData` to every call still
+    shares the grid explicitly, at any size; the report then carries its t.
     """
     if not isinstance(grid, GridData):
         grid = np.sort(np.asarray(grid, dtype=float))
-    lhs, rhs = interpolation_sides_grid(grid, cfg, target)
-    t = grid.t if isinstance(grid, GridData) else grid
+    grid, psums = _height_work(grid, cfg.scheme)
+    lhs, rhs = _sides(grid, psums, cfg, target)
     margin = rhs - lhs
-    return InterpolationReport(t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
+    return InterpolationReport(grid.t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
 
 
 def write_interpolation_csv(report: InterpolationReport, path) -> None:

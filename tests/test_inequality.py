@@ -269,10 +269,12 @@ def test_memo_arrays_are_protected(toy_scheme, monkeypatch):
                 memo_grid.theta_prime, *psums):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # Writing the caller's arrays, or the report's, changes no later result.
+    # Reports share the memo's heights; writing the caller's arrays, or a
+    # report's own, changes no later result.
     rep = check_interpolation(ts, cfg)
-    rep.t[:] = 1.0e4
+    assert rep.t is memo_grid.t
     rep.lhs[:] = 0.0
+    rep.margin[:] = -1.0
     assert _report_bytes(check_interpolation(ts, cfg)) == want
     moved = ts.copy()
     ts += 1.0
