@@ -3,11 +3,13 @@
 
 Sweeps k over [1, 2] on a sampled height window and records the minimum
 margin per (k, variant, target); the bound should never fail, and the
-margin shows where it is tightest (near k = 2).
+margin shows where it is tightest (near k = 2).  Exits 1, naming each
+failing (k, variant, target), if it does.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -32,6 +34,7 @@ def main() -> None:
     grid = eval_grid(np.sort(rng.uniform(args.t_min, args.t_max, args.samples)))
 
     print(f"{'k':>5} {'variant':>16} {'target':>7} {'failures':>8} {'min margin':>12}")
+    failed = []
     for k in np.linspace(1.0, 2.0, 11):
         for variant in VARIANTS:
             for target in TARGETS:
@@ -41,7 +44,10 @@ def main() -> None:
                     f"{k:5.2f} {variant:>16} {target:>7} "
                     f"{rep.failures.size:8d} {rep.min_margin:12.4e}"
                 )
-                assert rep.all_passed
+                if not rep.all_passed:
+                    failed.append(f"({k:.2f}, {variant}, {target})")
+    if failed:
+        sys.exit("interpolation bound fails at (k, variant, target): " + ", ".join(failed))
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .primes import smallest_prime_factors
+from .primes import _BLOCK_BUDGET, smallest_prime_factors
 
 TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
@@ -31,6 +31,14 @@ LOG_PI = math.log(math.pi)
 # the phase term: |zeta'|^2 = Z'^2 + theta'^2 Z^2 on the line, while the
 # Hardy-Z target keeps Z'^2 alone.
 TARGETS = {"zeta": True, "hardyZ": False}
+
+
+def _phase_term(target: str) -> bool:
+    """TARGETS[target]; DomainError for any other target."""
+    if target not in TARGETS:
+        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+    return TARGETS[target]
+
 
 RS_MIN_T = 50.0
 ORACLE_MIN_T = 10.0
@@ -59,10 +67,6 @@ EM_BERNOULLI_TERMS = 30
 # points off it (sigma in [-6, 3], near the pole, on the real axis) the error
 # reached 2.5 units.
 EM_ROUNDOFF_COEF = 8.0
-
-# Entries n^{-s} in one block of the oracle's power table, as for the
-# Riemann-Siegel main sum: the table stays in cache and peak memory flat.
-_EM_TABLE_BUDGET = 1 << 17
 
 # Lanes of the oracle's power-sum reduction (see `_lane_sum`).
 _EM_LANES = 16
@@ -223,7 +227,7 @@ def _em_power_sums(s: np.ndarray, n_cut: np.ndarray) -> tuple[np.ndarray, np.nda
     with N = n_cut per argument.
 
     n^{-s} is completely multiplicative.  The arguments, sorted by N, are cut
-    into blocks of at most _EM_TABLE_BUDGET table entries; a block fills an
+    into blocks of at most _BLOCK_BUDGET table entries; a block fills an
     (n, argument) table in natural row order n = 0, 1, ..., max N, level by
     level over the dyadic ranges [2^k, 2^(k+1)), k >= 2, after the primes 2
     and 3: one complex exp per prime n and one complex multiply
@@ -251,15 +255,15 @@ def _em_power_sums(s: np.ndarray, n_cut: np.ndarray) -> tuple[np.ndarray, np.nda
         return -(-(n + 1) // _EM_LANES) * _EM_LANES
 
     logs = np.log(np.maximum(np.arange(padded(n_top)), 1))
-    entries = max(_EM_TABLE_BUDGET, padded(n_top))
+    entries = max(_BLOCK_BUDGET, padded(n_top))
     table_buf = np.empty(entries, dtype=complex)
     weighted_buf = np.empty(2 * entries)
     lo = 0
     while lo < s.size:
         # Widest block whose table, sized by its last (largest) N, fits the budget.
-        widest = max(1, _EM_TABLE_BUDGET // padded(int(n_sorted[lo])))
+        widest = max(1, _BLOCK_BUDGET // padded(int(n_sorted[lo])))
         top = int(n_sorted[min(lo + widest, s.size) - 1])
-        hi = min(lo + max(1, _EM_TABLE_BUDGET // padded(top)), s.size)
+        hi = min(lo + max(1, _BLOCK_BUDGET // padded(top)), s.size)
         idx, nb = order[lo:hi], n_sorted[lo:hi]
         sb = s[idx]
         lo = hi
@@ -561,11 +565,6 @@ def rs_error_estimate(t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Entries n^{-it} in one block of the main-sum table: small enough to keep
-# the table in cache and peak memory flat, large enough that each numpy call
-# does real work when eval_grid threads run side by side.
-_MAIN_SUM_BUDGET = 1 << 17
-
 # Heights per eval_grid piece: the (14, piece) Chebyshev basis of the
 # correction terms stays under 1 MB.  Pieces are cut at fixed offsets of the
 # grid, so the result does not depend on how many threads share them.
@@ -685,7 +684,7 @@ def _main_sum(t: np.ndarray, n_floor: np.ndarray, work: _Workspace) -> tuple[np.
     """
     s = np.empty(t.shape, dtype=complex)
     ds = np.empty_like(s)
-    rows = max(1, _MAIN_SUM_BUDGET // int(n_floor.max(initial=1)))
+    rows = max(1, _BLOCK_BUDGET // int(n_floor.max(initial=1)))
     for lo in range(0, t.size, rows):
         block = slice(lo, lo + rows)
         tb = t[block]
@@ -753,7 +752,7 @@ def _lattice_sum(
     windows = np.lib.stride_tricks.sliding_window_view(samples, 2 * half, axis=0)
     filters = _lattice_filters(m)
     fine = np.empty((windows.shape[0], m, 4))
-    chunk = _MAIN_SUM_BUDGET // (2 * max(2 * half, m))
+    chunk = _BLOCK_BUDGET // (2 * max(2 * half, m))
     for c in range(0, windows.shape[0], chunk):
         part = windows[c : c + chunk]
         block = work.take("scratch", part.shape)
@@ -915,9 +914,7 @@ class GridData:
     def dabs2(self, target: str) -> np.ndarray:
         """Derivative square of the target: |zeta'|^2 = Z'^2 + theta'^2 Z^2 for
         "zeta", Z'^2 for "hardyZ"."""
-        if target not in TARGETS:
-            raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
-        if TARGETS[target]:
+        if _phase_term(target):
             return self.Z_prime**2 + self.theta_prime**2 * self.Z**2
         return self.Z_prime**2
 

@@ -109,70 +109,6 @@ def _height_work(
     return (given if given is not None else grid), psums
 
 
-def interpolation_sides_grid(
-    t: np.ndarray | GridData, cfg: InterpolationConfig, target: str = "zeta"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vector (lhs, rhs) of the pointwise bound over an ascending grid, given
-    as heights or as their `eval_grid` samples.
-
-    One pass over the ranges: each range's prime sum P_v(1/2 + it) gives its
-    penalty weight and both increment factors |N_v(k - 2)|^2, |N_v(k - 1)|^2,
-    which extend the running products; the prefix products before range v
-    are kept for its penalty term.
-
-    The grid and the prime sums depend only on the heights and the scheme,
-    so a one-entry memo keeps those of the last height set of at most
-    _MEMO_MAX_HEIGHTS heights: a call whose heights have the same bytes
-    and whose scheme is the same object reuses them, and any other call
-    replaces them.  Heights given as an array take both from the memo; a
-    `GridData` is used as given (the explicit way to share one grid among
-    configurations, at any size) and takes only the prime sums.
-    """
-    return _sides(*_height_work(t, cfg.scheme), cfg, target)
-
-
-def _sides(
-    grid: GridData, psums: tuple[np.ndarray, ...], cfg: InterpolationConfig, target: str
-) -> tuple[np.ndarray, np.ndarray]:
-    t = grid.t
-    za = np.abs(grid.Z)
-    dz2 = grid.dabs2(target)
-    k = cfg.k
-    lhs = za ** (2.0 * k - 2.0) * dz2
-
-    scheme = cfg.scheme
-    prod_m2 = prod_m1 = np.ones(t.shape)
-    penalties = []  # (prefix k - 2, prefix k - 1, weight) per range with P_v > 0
-    for v, psum in zip(range(2, scheme.ell + 1), psums):
-        pv = scheme.variance(v)
-        if pv != 0.0:
-            m_v = penalty_exponent(cfg, v)
-            apsum = np.abs(psum)
-            # Penalty in log space: the exponent 2 ceil(c_p P_v) can be large.
-            with np.errstate(divide="ignore"):
-                logw = 2.0 * m_v * (np.log(apsum) - math.log(cfg.c_p * pv))
-            penalties.append((prod_m2, prod_m1, np.where(apsum > 0.0, np.exp(logw), 0.0)))
-        depth = math.floor(cfg.c_omega * pv)
-        prod_m2 = prod_m2 * np.abs(truncated_exp((k - 2.0) * psum, depth)) ** 2
-        prod_m1 = prod_m1 * np.abs(truncated_exp((k - 1.0) * psum, depth)) ** 2
-
-    fourth = 2.0 * k * za**2 * dz2
-    second = (4.0 - 2.0 * k) * dz2
-    rhs = fourth * prod_m2 + second * prod_m1
-    for pre_m2, pre_m1, weight in penalties:
-        twist_m1 = prod_m1 if cfg.variant == "full_product" else pre_m1
-        rhs = rhs + (fourth * pre_m2 + second * twist_m1) * weight
-    return lhs, rhs
-
-
-def interpolation_sides(
-    t: float, cfg: InterpolationConfig, target: str = "zeta"
-) -> tuple[float, float]:
-    """Pointwise (lhs, rhs) of the interpolation bound at a single height."""
-    lhs, rhs = interpolation_sides_grid(np.array([t]), cfg, target)
-    return float(lhs[0]), float(rhs[0])
-
-
 @dataclass(frozen=True)
 class InterpolationReport:
     t: np.ndarray
@@ -201,21 +137,65 @@ def check_interpolation(
     grid: np.ndarray | GridData, cfg: InterpolationConfig, target: str = "zeta"
 ) -> InterpolationReport:
     """Pointwise pass/fail over heights (sorted here) or an `eval_grid`
-    result; failures are data, not exceptions.
+    result; failures are data, not exceptions.  The report's lhs and rhs are
+    the two sides of the bound at each height.
 
-    Heights go through the memo of `interpolation_sides_grid`, keyed on
-    the bytes of the sorted heights and on the scheme object: checking
-    several configurations on one set of at most _MEMO_MAX_HEIGHTS heights
-    evaluates the grid and the prime sums once, and their reports share
-    the memo's read-only t.  Passing one `GridData` to every call still
-    shares the grid explicitly, at any size; the report then carries its t.
+    One pass over the ranges: each range's prime sum P_v(1/2 + it) gives its
+    penalty weight and both increment factors |N_v(k - 2)|^2, |N_v(k - 1)|^2,
+    which extend the running products; the prefix products before range v
+    are kept for its penalty term.
+
+    The grid and the prime sums depend only on the heights and the scheme,
+    so a one-entry memo (`_height_work`) keeps those of the last height set
+    of at most _MEMO_MAX_HEIGHTS heights: a call whose sorted heights have
+    the same bytes and whose scheme is the same object reuses them, and any
+    other call replaces them.  Checking several configurations on one height
+    set thus evaluates the grid and the prime sums once, and their reports
+    share the memo's read-only t.  A `GridData` is used as given (the
+    explicit way to share one grid among configurations, at any size) and
+    takes only the prime sums; the report then carries its t.
     """
     if not isinstance(grid, GridData):
         grid = np.sort(np.asarray(grid, dtype=float))
     grid, psums = _height_work(grid, cfg.scheme)
-    lhs, rhs = _sides(grid, psums, cfg, target)
+    t = grid.t
+    za = np.abs(grid.Z)
+    dz2 = grid.dabs2(target)
+    k = cfg.k
+    lhs = za ** (2.0 * k - 2.0) * dz2
+
+    scheme = cfg.scheme
+    prod_m2 = prod_m1 = np.ones(t.shape)
+    penalties = []  # (prefix k - 2, prefix k - 1, weight) per range with P_v > 0
+    for v, psum in zip(range(2, scheme.ell + 1), psums):
+        pv = scheme.variance(v)
+        if pv != 0.0:
+            m_v = penalty_exponent(cfg, v)
+            apsum = np.abs(psum)
+            # Penalty in log space: the exponent 2 ceil(c_p P_v) can be large.
+            with np.errstate(divide="ignore"):
+                logw = 2.0 * m_v * (np.log(apsum) - math.log(cfg.c_p * pv))
+            penalties.append((prod_m2, prod_m1, np.where(apsum > 0.0, np.exp(logw), 0.0)))
+        depth = math.floor(cfg.c_omega * pv)
+        prod_m2 = prod_m2 * np.abs(truncated_exp((k - 2.0) * psum, depth)) ** 2
+        prod_m1 = prod_m1 * np.abs(truncated_exp((k - 1.0) * psum, depth)) ** 2
+
+    fourth = 2.0 * k * za**2 * dz2
+    second = (4.0 - 2.0 * k) * dz2
+    rhs = fourth * prod_m2 + second * prod_m1
+    for pre_m2, pre_m1, weight in penalties:
+        twist_m1 = prod_m1 if cfg.variant == "full_product" else pre_m1
+        rhs = rhs + (fourth * pre_m2 + second * twist_m1) * weight
     margin = rhs - lhs
-    return InterpolationReport(grid.t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
+    return InterpolationReport(t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
+
+
+def interpolation_sides(
+    t: float, cfg: InterpolationConfig, target: str = "zeta"
+) -> tuple[float, float]:
+    """Pointwise (lhs, rhs) of the interpolation bound at a single height."""
+    rep = check_interpolation(np.array([t]), cfg, target)
+    return float(rep.lhs[0]), float(rep.rhs[0])
 
 
 def write_interpolation_csv(report: InterpolationReport, path) -> None:

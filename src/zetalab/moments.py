@@ -4,9 +4,12 @@ The integrand |zeta|^(2k-2h) |zeta'|^(2h) (or the Hardy-Z version) is
 sampled by the composite midpoint rule on the mesh of `moment_mesh`.
 Midpoint is deliberate: fractional powers of |zeta| have cusps at the zeros,
 which defeat higher-order rules, while midpoint never samples the cusp tips
-and degrades gracefully.  One estimator takes that midpoint sum, from
-shared grids (`joint_moment_on_grids`) or streamed piece by piece
-(`joint_moment`), and adds one of two error estimates, by the pair (k, h).
+and degrades gracefully.  One loop computes the integrand piece by piece
+(`_values`), over the slices of a whole grid (`integrand`) or over the
+pieces of a grid that is never held whole (`_midpoint_sum`, which also
+serves `twisted.twisted_direct`).  One estimator takes the midpoint sum,
+from shared grids (`joint_moment_on_grids`) or streamed (`joint_moment`),
+and adds one of two error estimates, by the pair (k, h).
 
 Band-limited pairs have h in {0, 1} and e1 = 2k - 2h in {0, 2, 4}; in the
 paper's range (1 <= k <= 2, 0 <= h <= 1) they are (1, 0), (2, 0), (1, 1) and
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critline import _GRID_PIECE, MAX_HEIGHT, TARGETS, TWO_PI, GridData, _grid_pieces, eval_grid
+from .critline import _GRID_PIECE, MAX_HEIGHT, TWO_PI, GridData, _grid_pieces, _phase_term, eval_grid
 from .csvio import write_csv
 from .errors import CapacityError, ConfigError, DomainError
 
@@ -87,8 +90,7 @@ class MomentRequest:
             raise DomainError(
                 f"h = {self.h} outside [0, k + 1/2] = [0, {self.k + 0.5}]"
             )
-        if self.target not in TARGETS:
-            raise DomainError(f"target must be one of {tuple(TARGETS)}, got {self.target!r}")
+        _phase_term(self.target)
         if self.points_per_gap is not None and self.points_per_gap < 1:
             raise DomainError("points_per_gap must be >= 1")
 
@@ -155,15 +157,6 @@ def midpoint_grid(lo: float, hi: float, mesh: float) -> tuple[np.ndarray, float]
     return _midpoints(lo, step, 0, panels), step
 
 
-def _midpoint_pieces(lo: float, hi: float, mesh: float, workers: int = 1):
-    """(panels, step, pieces) for the grid of midpoint_grid(lo, hi, mesh),
-    which is never made whole: pieces yields its eval_grid pieces in order,
-    as (start, t, (Z, Z', theta, theta')), each with the bits of its slice of
-    eval_grid(midpoint_grid(lo, hi, mesh)[0], workers)."""
-    panels, step = _panels(lo, hi, mesh)
-    return panels, step, _grid_pieces(lambda a, b: _midpoints(lo, step, a, b), panels, workers)
-
-
 def moment_grids(
     T: float, points_per_gap: int = CUSP_POINTS_PER_GAP, workers: int = 1
 ) -> tuple[GridData, GridData]:
@@ -180,55 +173,49 @@ def moment_grids(
     return eval_grid(ts, workers=workers), eval_grid(ts_half, workers=workers)
 
 
-def _integrand_scratch(size: int) -> np.ndarray:
-    """The two buffers `_integrand_into` needs for pieces of a grid of size
-    points."""
-    return np.empty((2, min(size, _GRID_PIECE)))
+def _values(pieces, size: int, k: float, h: float, target: str, window=None) -> np.ndarray:
+    """The integrand of `integrand` at the size heights of pieces, which
+    yields (lo, t[lo:hi], (Z, Z', theta, theta')) as `_grid_pieces` does,
+    times window(t[lo:hi], values) in place when a window is given.
 
-
-def _integrand_into(
-    out: np.ndarray,
-    z: np.ndarray,
-    z_prime: np.ndarray,
-    theta_prime: np.ndarray,
-    k: float,
-    h: float,
-    target: str,
-    scratch: np.ndarray,
-) -> None:
-    """Writes the integrand of one piece into out, with |Z| and the squares
-    in the rows of scratch (see `integrand`).  Each value comes from the
-    same floating-point operations as GridData.dabs2 and the power product,
-    so it has the same bits."""
-    za, tmp = scratch[:, : out.size]
-    np.abs(z, out=za)
-    if TARGETS[target]:
-        np.square(za, out=out)  # Z^2
-        out *= np.square(theta_prime, out=tmp)
-        out += np.square(z_prime, out=tmp)
-    else:
-        np.square(z_prime, out=out)
-    out **= h
-    if h > k:
-        np.maximum(za, ABS_FLOOR, out=za)
-    za **= 2.0 * k - 2.0 * h
-    out *= za
+    |Z| and the squares of a piece go to two buffers of at most _GRID_PIECE
+    values, reused from piece to piece.  Each value comes from the same
+    floating-point operations as GridData.dabs2 and the power product, so it
+    has the same bits.
+    """
+    phase = _phase_term(target)
+    out = np.empty(size)
+    scratch = np.empty((2, min(size, _GRID_PIECE)))
+    for lo, t, (z, z_prime, _, theta_prime) in pieces:
+        vals = out[lo : lo + t.size]
+        za, tmp = scratch[:, : t.size]
+        np.abs(z, out=za)
+        if phase:
+            np.square(za, out=vals)  # Z^2
+            vals *= np.square(theta_prime, out=tmp)
+            vals += np.square(z_prime, out=tmp)
+        else:
+            np.square(z_prime, out=vals)
+        vals **= h
+        if h > k:
+            np.maximum(za, ABS_FLOOR, out=za)
+        za **= 2.0 * k - 2.0 * h
+        vals *= za
+        if window is not None:
+            window(t, vals)
+    return out
 
 
 def integrand(grid: GridData, k: float, h: float, target: str) -> np.ndarray:
     """|zeta|^(2k-2h) |target'|^(2h) on grid, with |Z| floored at ABS_FLOOR
     when the first power is negative (h > k).  Computed piece by piece into
     one array, so its only temporaries are two piece-sized buffers."""
-    if target not in TARGETS:
-        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
-    out = np.empty(grid.t.size)
-    scratch = _integrand_scratch(out.size)
-    for lo in range(0, out.size, _GRID_PIECE):
-        part = slice(lo, lo + _GRID_PIECE)
-        _integrand_into(
-            out[part], grid.Z[part], grid.Z_prime[part], grid.theta_prime[part], k, h, target, scratch
-        )
-    return out
+    cols = (grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
+    pieces = (
+        (lo, grid.t[lo : lo + _GRID_PIECE], [c[lo : lo + _GRID_PIECE] for c in cols])
+        for lo in range(0, grid.t.size, _GRID_PIECE)
+    )
+    return _values(pieces, grid.t.size, k, h, target)
 
 
 def _rule_bandwidth(req: MomentRequest, mesh: float) -> float | None:
@@ -324,19 +311,16 @@ def joint_moment_on_grids(
     return _estimate(req, panels, value, omega, value_half)
 
 
-def _midpoint_value(req: MomentRequest, mesh: float, workers: int) -> tuple[float, int]:
-    """The midpoint sum of the integrand on midpoint_grid(T, 2T, mesh), and
-    its panel count, from the grid's pieces: only the integrand values are
-    kept, one float64 per point, for the same whole-array np.sum as
-    `joint_moment_on_grids`."""
-    panels, _, pieces = _midpoint_pieces(req.T, 2.0 * req.T, mesh, workers)
-    vals = np.empty(panels)
-    scratch = _integrand_scratch(panels)
-    for lo, t, (z, z_prime, _, theta_prime) in pieces:
-        _integrand_into(
-            vals[lo : lo + t.size], z, z_prime, theta_prime, req.k, req.h, req.target, scratch
-        )
-    return float(np.sum(vals) * (req.T / panels)), panels
+def _midpoint_sum(
+    lo: float, hi: float, mesh: float, k: float, h: float, target: str, workers: int, window=None
+) -> tuple[float, int]:
+    """The midpoint sum of the integrand (times window, see `_values`) on
+    midpoint_grid(lo, hi, mesh), and its panel count.  The grid is streamed
+    through `_grid_pieces`, never held whole: only the values are kept, one
+    float64 per point, for the same whole-array np.sum as the grid's."""
+    panels, step = _panels(lo, hi, mesh)
+    pieces = _grid_pieces(lambda a, b: _midpoints(lo, step, a, b), panels, workers)
+    return float(np.sum(_values(pieces, panels, k, h, target, window)) * step), panels
 
 
 def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
@@ -346,9 +330,10 @@ def joint_moment(req: MomentRequest, workers: int = 1) -> MomentEstimate:
     held whole; the result equals joint_moment_on_grids on the grids of
     `midpoint_grid`, bit for bit."""
     mesh = moment_mesh(req)
-    value, panels = _midpoint_value(req, mesh, workers)
+    ends, pair = (req.T, 2.0 * req.T), (req.k, req.h, req.target, workers)
+    value, panels = _midpoint_sum(*ends, mesh, *pair)
     omega = _rule_bandwidth(req, req.T / panels)
-    value_half = None if omega is not None else _midpoint_value(req, mesh / 2.0, workers)[0]
+    value_half = None if omega is not None else _midpoint_sum(*ends, mesh / 2.0, *pair)[0]
     return _estimate(req, panels, value, omega, value_half)
 
 

@@ -217,11 +217,14 @@ def custom_scheme(
     )
 
 
-# Entries p^{-s} in one block of the (argument, prime) table of
-# `prime_sum_at`, 2 MB of complex.  A table of the whole argument array
-# grows as arguments x primes: 20 000 heights against a range of 1219
-# primes took the `inequality` command to a 790 MB peak.
-_PRIME_SUM_BUDGET = 1 << 17
+# Entries in one block of a table over a whole argument array, 2 MB of
+# complex: p^{-s} of `prime_sum_at`, and in critline n^{-it} of the
+# Riemann-Siegel main sum and n^{-s} of the Euler-Maclaurin power sums.  The
+# table stays in cache and peak memory flat (a whole table of 20 000 heights
+# against a range of 1219 primes took the `inequality` command to a 790 MB
+# peak), and each numpy call still does real work when eval_grid threads run
+# side by side.
+_BLOCK_BUDGET = 1 << 17
 
 
 def prime_sum_at(scheme: IncrementScheme, j: int, s):
@@ -229,7 +232,7 @@ def prime_sum_at(scheme: IncrementScheme, j: int, s):
 
     An array of s gives the array of sums and a complex scalar s its sum,
     as complex numbers, by one expression.  Arrays are taken in blocks of
-    arguments whose table stays within _PRIME_SUM_BUDGET entries; each
+    arguments whose table stays within _BLOCK_BUDGET entries; each
     argument's row is summed whole, so the blocking leaves every sum's
     bits unchanged.  Real scalar s reuses the accumulation that produced
     the stored variances, so prime_sum_at(scheme, j, 1) == scheme.variance(j)
@@ -241,7 +244,7 @@ def prime_sum_at(scheme: IncrementScheme, j: int, s):
         flat = args.reshape(-1)
         log_p = np.log(chunk)
         sums = np.empty(flat.shape, dtype=complex)
-        rows = max(1, _PRIME_SUM_BUDGET // max(1, chunk.size))
+        rows = max(1, _BLOCK_BUDGET // max(1, chunk.size))
         for lo in range(0, flat.size, rows):
             block = slice(lo, lo + rows)
             sums[block] = np.exp(-flat[block, None] * log_p).sum(axis=-1)

@@ -21,11 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .critline import MAX_HEIGHT, RS_MIN_T, TARGETS, TWO_PI, zeta_em_vec
+from .critline import MAX_HEIGHT, RS_MIN_T, TWO_PI, _phase_term, zeta_em_vec
 from .csvio import write_csv
 from .dirpoly import DirichletPoly, factorize, poly_eval_grid
 from .errors import CapacityError, DomainError, TruncationError
-from .moments import _integrand_into, _integrand_scratch, _midpoint_pieces, mean_zero_gap
+from .moments import _midpoint_sum, mean_zero_gap
 
 DEFAULT_PAIR_CAP = 100_000_000
 
@@ -465,8 +465,7 @@ def contour_second_moment(
     the zeta target uses (z1+z2)^2 M0 - (z1 z2 / 2)^2 M2, the Hardy-Z target
     uses (z1^2 - z2^2)^2 M0, both at exponent (z1 - z2)/2.
     """
-    if target not in TARGETS:
-        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+    phase = _phase_term(target)
     if cfg is None:
         cfg = ShiftConfig.for_height(T)
     _check_poly_length(a, T, 0.45)
@@ -481,7 +480,7 @@ def contour_second_moment(
     zgrid, _, _ = zeta_em_vec(1.0 + z1[:, None] - z2[None, :])
     m0, m2 = _mellin_factors(0.5 * z1, -0.5 * z2, T, phi)
     diff2 = (z1[:, None] - z2[None, :]) ** 2
-    if TARGETS[target]:
+    if phase:
         core = diff2 * (
             (z1[:, None] + z2[None, :]) ** 2 * m0
             - (0.5 * z1[:, None] * z2[None, :]) ** 2 * m2
@@ -527,8 +526,7 @@ def contour_fourth_moment(
     zeta target), so the value carries up to about 1e-9 relative roundoff,
     which no error estimate reports.
     """
-    if target not in TARGETS:
-        raise DomainError(f"target must be one of {tuple(TARGETS)}, got {target!r}")
+    phase = _phase_term(target)
     if cfg is None:
         cfg = ShiftConfig.for_height(T, 32, fourth_moment_scale(T))
     _check_poly_length(a, T, 0.2)
@@ -572,7 +570,7 @@ def contour_fourth_moment(
         a2 = znum23[:, k, None] * znum24 * ((z3[k] - z2)[:, None] * d24) ** 2
         w34 = (z4 - z3[k]) ** 2 / (z3[k] ** 5 * z4**5)
         e3 = p12 * s34 + p34 * s12
-        if TARGETS[target]:
+        if phase:
             # Derivative bracket (e4 L / 2)^2 - e3^2: differentiating the
             # shifted pole factors gives (sum 1/z_m -+ L/2) twice, so the
             # squared-log term carries the quarter.
@@ -636,22 +634,21 @@ def twisted_direct(
     |A(1/2+it)|^2 phi(t/T) over the support of the cutoff, on the mesh
     of `direct_mesh`.
 
-    The grid is streamed piece by piece (`moments._midpoint_pieces`); only
-    the weighted values are kept, one float64 per point, and summed by one
-    np.sum, so the result has the bits of np.sum(integrand(eval_grid(ts))
-    * amps * phi(ts / T)) * step on the whole grid ts.
+    `moments._midpoint_sum` streams the grid piece by piece and applies
+    |A|^2 phi as the window of each piece; only the weighted values are
+    kept, one float64 per point, and summed by one np.sum, so the result has
+    the bits of np.sum(integrand(eval_grid(ts)) * amps * phi(ts / T)) * step
+    on the whole grid ts.
     """
     mesh = direct_mesh(a, T, weight, phi, points_per_gap)
     z2_power, target = WEIGHTS[weight]
-    panels, step, pieces = _midpoint_pieces(phi.support[0] * T, phi.support[1] * T, mesh, workers)
-    vals = np.empty(panels)
-    scratch = _integrand_scratch(panels)
-    for lo, ts, (z, z_prime, _, theta_prime) in pieces:
-        out = vals[lo : lo + ts.size]
-        _integrand_into(out, z, z_prime, theta_prime, z2_power + 1, 1, target, scratch)
-        out *= np.abs(poly_eval_grid(a, ts)) ** 2
-        out *= phi(ts / T)
-    return float(np.sum(vals) * step)
+
+    def window(ts: np.ndarray, vals: np.ndarray) -> None:
+        vals *= np.abs(poly_eval_grid(a, ts)) ** 2
+        vals *= phi(ts / T)
+
+    lo, hi = phi.support
+    return _midpoint_sum(lo * T, hi * T, mesh, z2_power + 1, 1, target, workers, window)[0]
 
 
 # ---------------------------------------------------------------------------

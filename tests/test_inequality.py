@@ -14,7 +14,6 @@ from zetalab.inequality import (
     InterpolationConfig,
     check_interpolation,
     interpolation_sides,
-    interpolation_sides_grid,
     penalty_exponent,
     verify_holder,
     write_interpolation_csv,
@@ -146,7 +145,8 @@ def test_sides_match_per_twist_composition(toy_scheme, monkeypatch):
             cfg = InterpolationConfig(k=k, scheme=toy_scheme, variant=variant)
             for target in ("zeta", "hardyZ"):
                 lhs_ref, rhs_ref = _sides_reference(t, cfg, target)
-                lhs, rhs = interpolation_sides_grid(t, cfg, target)
+                rep = check_interpolation(t, cfg, target)
+                lhs, rhs = rep.lhs, rep.rhs
                 assert np.array_equal(lhs, lhs_ref)
                 assert np.max(np.abs(rhs - rhs_ref) / rhs_ref) <= 1e-14
                 assert np.array_equal(lhs <= rhs, lhs_ref <= rhs_ref)
@@ -160,7 +160,7 @@ def test_sides_match_per_twist_composition(toy_scheme, monkeypatch):
 
     def count(heights, scheme):
         calls.clear()
-        interpolation_sides_grid(heights, InterpolationConfig(k=1.5, scheme=scheme))
+        check_interpolation(heights, InterpolationConfig(k=1.5, scheme=scheme))
         return len(calls)
 
     monkeypatch.setattr(inequality, "prime_sum_at", counted)
@@ -186,19 +186,19 @@ def test_empty_ranges_change_nothing():
         for variant in inequality.VARIANTS:
             cfgs = [InterpolationConfig(k=k, scheme=s, variant=variant) for s in (gapped, plain)]
             for target in ("zeta", "hardyZ"):
-                got, want = (interpolation_sides_grid(t, cfg, target) for cfg in cfgs)
-                assert np.array_equal(got[0], want[0])
-                assert np.array_equal(got[1], want[1])
+                got, want = (check_interpolation(t, cfg, target) for cfg in cfgs)
+                assert np.array_equal(got.lhs, want.lhs)
+                assert np.array_equal(got.rhs, want.rhs)
 
 
 def test_rhs_monotone_in_penalty_terms(toy_scheme):
     # Dropping a penalty summand can only lower the right side.
     cfg = InterpolationConfig(k=1.4, scheme=toy_scheme)
     ts = np.array([1000.0 * math.pi])
-    _, rhs_full = interpolation_sides_grid(ts, cfg)
+    rhs_full = check_interpolation(ts, cfg).rhs
     one_range = custom_scheme(1.0e5, [E_SQUARED, 14.0], sieve_primes(100))
     cfg_one = InterpolationConfig(k=1.4, scheme=one_range)
-    _, rhs_one = interpolation_sides_grid(ts, cfg_one)
+    rhs_one = check_interpolation(ts, cfg_one).rhs
     # The two-range scheme contains the one-range scheme's penalty plus more.
     assert rhs_full[0] >= rhs_one[0] - 1e-12
 
@@ -228,13 +228,12 @@ def test_shared_grid_matches_heights(toy_scheme):
         for variant in inequality.VARIANTS:
             cfg = InterpolationConfig(k=k, scheme=toy_scheme, variant=variant)
             for target in ("zeta", "hardyZ"):
-                by_grid = interpolation_sides_grid(grid, cfg, target)
-                by_heights = interpolation_sides_grid(ts, cfg, target)
-                assert np.array_equal(by_grid[0], by_heights[0])
-                assert np.array_equal(by_grid[1], by_heights[1])
-                rep = check_interpolation(grid, cfg, target)
-                assert rep.t is grid.t
-                assert np.array_equal(rep.margin, by_heights[1] - by_heights[0])
+                by_grid = check_interpolation(grid, cfg, target)
+                by_heights = check_interpolation(ts, cfg, target)
+                assert by_grid.t is grid.t
+                assert np.array_equal(by_grid.lhs, by_heights.lhs)
+                assert np.array_equal(by_grid.rhs, by_heights.rhs)
+                assert np.array_equal(by_grid.margin, by_heights.rhs - by_heights.lhs)
 
 
 def _report_bytes(rep):

@@ -18,6 +18,7 @@ def _modules_matching(pattern: str) -> list[str]:
 def test_shared_constants_assigned_once():
     assert _modules_matching(r"^TWO_PI\s*=") == ["critline"]
     assert _modules_matching(r"^TARGETS\s*=") == ["critline"]
+    assert _modules_matching(r"^_BLOCK_BUDGET\s*=") == ["primes"]
 
 
 def test_one_csv_writer():
@@ -26,6 +27,30 @@ def test_one_csv_writer():
 
 def test_target_branch_only_in_critline():
     assert _modules_matching(r"""target\s*==\s*["']zeta["']""") in ([], ["critline"])
+    assert _modules_matching(r"target must be one of") == ["critline"]
+
+
+def test_one_integrand_loop():
+    # Every direct quadrature streams its grid through one kernel: twisted
+    # takes the streamed sum from moments and nothing else private, and only
+    # eval_grid and that sum walk the grid pieces.
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(SOURCES["twisted"]))
+        if isinstance(node, ast.ImportFrom) and node.module == "moments"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == ["_midpoint_sum"]
+    callers = {
+        (module, stmt.name)
+        for module, text in SOURCES.items()
+        for stmt in ast.walk(ast.parse(text))
+        if isinstance(stmt, ast.FunctionDef)
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_grid_pieces"
+    }
+    assert callers == {("critline", "eval_grid"), ("moments", "_midpoint_sum")}
 
 
 # Public names that only tests call, each kept because a test checks a claim

@@ -1,10 +1,14 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 from test_cli import _child_env
 
@@ -25,8 +29,8 @@ def test_run_contour_compare(tmp_path):
     assert all(0.5 <= r <= 2.0 for r in ratios), ratios
 
 
-def _load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -45,7 +49,7 @@ def _report(passes, cal, sweep):
 
 
 def test_bench_pairs_summary_from_canned_lines():
-    bench = _load_bench_pairs()
+    bench = _load_script("bench_pairs")
     assert [bench.pair_order(i) for i in range(3)] == [
         ("base", "change"), ("change", "base"), ("base", "change")]
     walls = {"base": [10.0, 11.0, 12.0, 10.5, 13.0], "change": [6.0, 6.5, 12.5, 5.5, 7.0]}
@@ -87,3 +91,24 @@ def test_bench_pairs_summary_from_canned_lines():
     assert medians["passes"] == {"base": 3, "change": 3}
     assert medians["calibration_s"] == {"base": 0.010, "change": 0.010}
     assert medians["holder_sweep_s"] == {"base": 0.7 - 2 / 10, "change": 0.7 - 2 / 10}
+
+
+def test_sweep_interpolation_exits_nonzero_on_a_failure(monkeypatch):
+    # The sweep's verdict is an exit code, so it holds under python -O too.
+    sweep = _load_script("sweep_interpolation")
+    monkeypatch.setattr(sys, "argv", ["sweep_interpolation.py", "--samples", "20"])
+    sweep.main()
+    real = sweep.check_interpolation
+
+    def failing(grid, cfg, target):
+        rep = real(grid, cfg, target)
+        if (cfg.k, cfg.variant, target) == (2.0, "partial_product", "hardyZ"):
+            rep = dataclasses.replace(rep, passed=np.zeros_like(rep.passed))
+        return rep
+
+    monkeypatch.setattr(sweep, "check_interpolation", failing)
+    with pytest.raises(SystemExit) as exc:
+        sweep.main()
+    assert exc.value.code == (
+        "interpolation bound fails at (k, variant, target): (2.00, partial_product, hardyZ)"
+    )
