@@ -140,11 +140,6 @@ def check_interpolation(
     result; failures are data, not exceptions.  The report's lhs and rhs are
     the two sides of the bound at each height.
 
-    One pass over the ranges: each range's prime sum P_v(1/2 + it) gives its
-    penalty weight and both increment factors |N_v(k - 2)|^2, |N_v(k - 1)|^2,
-    which extend the running products; the prefix products before range v
-    are kept for its penalty term.
-
     The grid and the prime sums depend only on the heights and the scheme,
     so a one-entry memo (`_height_work`) keeps those of the last height set
     of at most _MEMO_MAX_HEIGHTS heights: a call whose sorted heights have
@@ -158,6 +153,21 @@ def check_interpolation(
     if not isinstance(grid, GridData):
         grid = np.sort(np.asarray(grid, dtype=float))
     grid, psums = _height_work(grid, cfg.scheme)
+    lhs, rhs = _sides(grid, psums, cfg, target)
+    margin = rhs - lhs
+    return InterpolationReport(grid.t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
+
+
+def _sides(
+    grid: GridData, psums: tuple[np.ndarray, ...], cfg: InterpolationConfig, target: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lhs, rhs) of the bound on grid, in one pass over the ranges: each
+    range's prime sum P_v(1/2 + it) gives its penalty weight and both
+    increment factors |N_v(k - 2)|^2, |N_v(k - 1)|^2, which extend the
+    running products; the prefix products before range v are kept for its
+    penalty term.  A frame of its own frees these height-sized temporaries
+    before the report's margin is made (inlined, `pointwise` peak RSS read
+    0.4 MB higher)."""
     t = grid.t
     za = np.abs(grid.Z)
     dz2 = grid.dabs2(target)
@@ -186,8 +196,7 @@ def check_interpolation(
     for pre_m2, pre_m1, weight in penalties:
         twist_m1 = prod_m1 if cfg.variant == "full_product" else pre_m1
         rhs = rhs + (fourth * pre_m2 + second * twist_m1) * weight
-    margin = rhs - lhs
-    return InterpolationReport(t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
+    return lhs, rhs
 
 
 def interpolation_sides(
