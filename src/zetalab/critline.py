@@ -355,32 +355,23 @@ _REFLECT_BELOW = -0.5
 _LOG_2PI = math.log(TWO_PI)
 
 
-def _log_sin(x: np.ndarray) -> np.ndarray:
-    """log sin x, stable for large |Im x| (branch irrelevant to callers that
-    exponentiate the result)."""
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
+def _log_sin_cot(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log sin x, cot x) for complex x, stable for large |Im x| (the branch
+    of the log is irrelevant to the caller, which exponentiates it)."""
+    log_sin, cot = np.empty_like(x), np.empty_like(x)
     mid = np.abs(x.imag) <= 20.0
-    out[mid] = np.log(np.sin(x[mid]))
-    up = x.imag > 20.0
-    out[up] = -1j * x[up] + np.log(np.exp(2j * x[up]) - 1.0) - np.log(2j)
-    dn = x.imag < -20.0
-    out[dn] = 1j * x[dn] + np.log(1.0 - np.exp(-2j * x[dn])) - np.log(2j)
-    return out
-
-
-def _cot(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    out = np.empty_like(x)
-    mid = np.abs(x.imag) <= 20.0
-    out[mid] = np.cos(x[mid]) / np.sin(x[mid])
+    sin = np.sin(x[mid])
+    log_sin[mid] = np.log(sin)
+    cot[mid] = np.cos(x[mid]) / sin
     up = x.imag > 20.0
     e2 = np.exp(2j * x[up])
-    out[up] = 1j * (e2 + 1.0) / (e2 - 1.0)
+    log_sin[up] = -1j * x[up] + np.log(e2 - 1.0) - np.log(2j)
+    cot[up] = 1j * (e2 + 1.0) / (e2 - 1.0)
     dn = x.imag < -20.0
     e2 = np.exp(-2j * x[dn])
-    out[dn] = 1j * (1.0 + e2) / (1.0 - e2)
-    return out
+    log_sin[dn] = 1j * x[dn] + np.log(1.0 - e2) - np.log(2j)
+    cot[dn] = 1j * (1.0 + e2) / (1.0 - e2)
+    return log_sin, cot
 
 
 def zeta_em_vec(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -391,10 +382,12 @@ def zeta_em_vec(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     real part drops, so the strip Re s < -1/2 is routed through
     zeta(s) = chi(s) zeta(1-s).  Each argument takes its own cutoff, so a
     value does not depend on the rest of the batch.  Raises DomainError
-    outside the oracle regime |Im s| <= EM_MAX_IM.
+    for non-finite s and outside the oracle regime |Im s| <= EM_MAX_IM.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
+    if not np.all(np.isfinite(flat)):
+        raise DomainError("Euler-Maclaurin oracle needs finite s")
     if np.any(np.abs(flat.imag) > EM_MAX_IM):
         raise DomainError(f"Euler-Maclaurin oracle regime is |Im s| <= {EM_MAX_IM:g}")
     reflect = flat.real < _REFLECT_BELOW
@@ -407,9 +400,10 @@ def zeta_em_vec(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # chi assembled in log space: sin and Gamma overflow separately for
         # large |Im s| while their product stays moderate.
         log_chi = sr * math.log(2.0) + (sr - 1.0) * math.log(math.pi)
-        log_chi = log_chi + _log_sin(x) + _lgamma_vec(w)
+        log_sin, cot = _log_sin_cot(x)
+        log_chi = log_chi + log_sin + _lgamma_vec(w)
         chi = np.exp(log_chi)
-        dchi = chi * (_LOG_2PI + 0.5 * math.pi * _cot(x) - _digamma_vec(w))
+        dchi = chi * (_LOG_2PI + 0.5 * math.pi * cot - _digamma_vec(w))
         zeta[reflect] = chi * zw
         dzeta[reflect] = dchi * zw - chi * dzw
         est[reflect] = (np.abs(chi) + np.abs(dchi)) * ew + 1.0e-15 * np.abs(chi * zw)
@@ -441,13 +435,13 @@ def _psi_ratio(w: np.ndarray) -> np.ndarray:
     return np.cos(TWO_PI * (w * w - w - 0.0625)) / np.cos(TWO_PI * w)
 
 
-def _psi_derivatives(p: float, orders: tuple[int, ...], radius: float = 0.47) -> dict[int, float]:
+def _psi_derivatives(p: float, orders: tuple[int, ...]) -> dict[int, float]:
     """Derivatives of the cosine-ratio function at p by Cauchy circles.
 
     Nodes are offset half a step so none land on the real axis, keeping the
     denominator away from its removable zeros at p = 1/4, 3/4.
     """
-    m = 256
+    m, radius = 256, 0.47
     phi = TWO_PI * (np.arange(m) + 0.5) / m
     w = p + radius * np.exp(1j * phi)
     vals = _psi_ratio(w)

@@ -7,6 +7,7 @@ format round-trips grids bit-exactly.  Only the CLI writes it (`zetalab eval
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -49,9 +50,10 @@ def read_grid(path: str | Path) -> GridData:
             raise ConfigError(f"unsupported grid cache version {version}")
         (est,) = struct.unpack("<d", fh.read(8))
         (count,) = struct.unpack("<Q", fh.read(8))
+        # The header's count is checked against the file before any read.
+        if count * _FIELDS * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
+            raise ConfigError(f"truncated grid cache {path}")
         data = np.frombuffer(fh.read(count * _FIELDS * 8), dtype="<f8")
-    if data.size != count * _FIELDS:
-        raise ConfigError(f"truncated grid cache {path}")
     records = data.reshape(count, _FIELDS)
     return GridData(
         t=records[:, 0].copy(),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,16 +30,10 @@ VARIANTS = ("full_product", "partial_product")
 # Exact rational ceil is affordable up to this many primes per range.
 _EXACT_CEIL_MAX_PRIMES = 10_000
 
-# Largest height set the memo of `_height_work` keeps: at 2^16 heights its
-# heights, grid and the prime sums of a few ranges take about 5 MB.  A
-# larger call leaves the memo as it was, so it is never held after return.
+# Largest height set whose grid and prime sums are cached: at 2^16 heights
+# the key, grid and the prime sums of a few ranges take about 5 MB.  A larger
+# set, or a single height, bypasses the caches and leaves them as they were.
 _MEMO_MAX_HEIGHTS = 1 << 16
-
-# One entry, (key, grid or None, scheme, prime sums), or None: the work of
-# the last height set that depends on the heights and the scheme alone.
-# The entry is replaced as one tuple and read once per call, so concurrent
-# callers each see a whole entry.
-_memo: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -76,37 +71,24 @@ def _read_only(*arrays: np.ndarray) -> None:
         arr.flags.writeable = False
 
 
-def _height_work(
-    t: np.ndarray | GridData, scheme: IncrementScheme
-) -> tuple[GridData, tuple[np.ndarray, ...]]:
-    """The grid of ascending heights t (given as heights or as their
-    `eval_grid` samples) and the prime sums P_v(1/2 + it), v = 2..ell.
+@lru_cache(maxsize=1)
+def _grid_of(key: tuple) -> GridData:
+    """`eval_grid` of the heights whose (shape, bytes) are key, with its
+    columns read-only; the heights are a read-only view of the key, so a
+    later change to the caller's array cannot reach them."""
+    grid = eval_grid(np.frombuffer(key[1]).reshape(key[0]))
+    _read_only(grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
+    return grid
 
-    Both come from the memo when its heights have the bytes of t and, for
-    the prime sums, its scheme is this scheme object; what is computed
-    replaces the entry.  A given grid is used as it is and never stored:
-    from a grid, the memo keeps the prime sums and its own copy of the
-    heights.  Arrays the memo hands out are read-only.
-    """
-    global _memo
-    given = t if isinstance(t, GridData) else None
-    heights = given.t if given is not None else np.asarray(t, dtype=float)
-    key = (heights.shape, heights.tobytes())
-    entry = _memo
-    if entry is None or entry[0] != key:
-        entry = (key, None, None, ())
-    key, grid, cached_scheme, psums = entry
-    if grid is None and given is None:
-        # Samples of a read-only view of the key: a later change to the
-        # caller's array cannot reach them.
-        grid = eval_grid(np.frombuffer(key[1]).reshape(key[0]))
-        _read_only(grid.Z, grid.Z_prime, grid.theta, grid.theta_prime)
-    if cached_scheme is not scheme:
-        psums = tuple(prime_sum_at(scheme, v, 0.5 + 1j * heights) for v in range(2, scheme.ell + 1))
-        _read_only(*psums)
-    if heights.size <= _MEMO_MAX_HEIGHTS:
-        _memo = (key, grid, scheme, psums)
-    return (given if given is not None else grid), psums
+
+@lru_cache(maxsize=1)
+def _prime_sums(key: tuple, scheme: IncrementScheme) -> tuple[np.ndarray, ...]:
+    """P_v(1/2 + it), v = 2..ell, read-only, at the heights of key.  The
+    scheme is matched by identity (`IncrementScheme` has eq=False)."""
+    t = np.frombuffer(key[1]).reshape(key[0])
+    psums = tuple(prime_sum_at(scheme, v, 0.5 + 1j * t) for v in range(2, scheme.ell + 1))
+    _read_only(*psums)
+    return psums
 
 
 @dataclass(frozen=True)
@@ -141,18 +123,22 @@ def check_interpolation(
     the two sides of the bound at each height.
 
     The grid and the prime sums depend only on the heights and the scheme,
-    so a one-entry memo (`_height_work`) keeps those of the last height set
-    of at most _MEMO_MAX_HEIGHTS heights: a call whose sorted heights have
-    the same bytes and whose scheme is the same object reuses them, and any
-    other call replaces them.  Checking several configurations on one height
-    set thus evaluates the grid and the prime sums once, and their reports
-    share the memo's read-only t.  A `GridData` is used as given (the
-    explicit way to share one grid among configurations, at any size) and
-    takes only the prime sums; the report then carries its t.
+    so each comes from a one-entry `lru_cache` keyed by the bytes of the
+    sorted heights (`_grid_of`), and by the scheme object too
+    (`_prime_sums`).  Checking several configurations on one height set thus
+    evaluates the grid and the prime sums once, and their reports share the
+    cached, read-only t.  A single height, or a set of more than
+    _MEMO_MAX_HEIGHTS heights, bypasses both caches, so neither evicts the
+    set they hold.  A `GridData` is used as given (the explicit way to share
+    one grid among configurations, at any size) and takes only the prime
+    sums; the report then carries its t.
     """
+    t = grid.t if isinstance(grid, GridData) else np.sort(np.asarray(grid, dtype=float))
+    key = (t.shape, t.tobytes())
+    cached = 1 < t.size <= _MEMO_MAX_HEIGHTS
     if not isinstance(grid, GridData):
-        grid = np.sort(np.asarray(grid, dtype=float))
-    grid, psums = _height_work(grid, cfg.scheme)
+        grid = (_grid_of if cached else _grid_of.__wrapped__)(key)
+    psums = (_prime_sums if cached else _prime_sums.__wrapped__)(key, cfg.scheme)
     lhs, rhs = _sides(grid, psums, cfg, target)
     margin = rhs - lhs
     return InterpolationReport(grid.t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)

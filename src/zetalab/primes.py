@@ -52,19 +52,19 @@ def smallest_prime_factors(limit: int) -> np.ndarray:
     return spf
 
 
-def sieve_primes(limit: int, cap: int = DEFAULT_SIEVE_CAP) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Exact table of the primes <= limit.
 
     The primes up to isqrt(limit), the n with spf[n] = n in
     `smallest_prime_factors`, sieve the rest in segments of
     SIEVE_SEGMENT; indices are 64-bit throughout.  Raises DomainError for
-    limit < 2 and CapacityError above `cap`.
+    limit < 2 and CapacityError above DEFAULT_SIEVE_CAP.
     """
     limit = int(limit)
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
-    if limit > cap:
-        raise CapacityError(f"sieve limit {limit} exceeds cap {cap}")
+    if limit > DEFAULT_SIEVE_CAP:
+        raise CapacityError(f"sieve limit {limit} exceeds cap {DEFAULT_SIEVE_CAP}")
     root = math.isqrt(limit)
     spf = smallest_prime_factors(root)
     base = np.flatnonzero(spf[2:] == np.arange(2, root + 1)) + 2

@@ -71,8 +71,8 @@ class ShiftConfig:
     radius_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.logT <= 0.0:
-            raise DomainError("logT must be positive")
+        if not (math.isfinite(self.logT) and self.logT > 0.0):
+            raise DomainError(f"logT must be finite and positive, got {self.logT}")
         if self.nodes_per_circle < 16 or self.nodes_per_circle % 2:
             raise DomainError("nodes_per_circle must be even and >= 16")
         if not 0.0 < self.radius_scale <= 1.0:

@@ -203,6 +203,17 @@ def test_first_zero_oracle():
     assert abs(z_oracle(14.1347251417)) < 1e-5
 
 
+def test_oracle_rejects_non_finite_arguments():
+    # NaN passes the |Im s| check; it must not reach the cutoff cast.
+    for bad in ([math.nan], [2.0, complex(0.5, math.nan)], [complex(math.inf, 1.0)]):
+        with pytest.raises(DomainError):
+            zeta_em_vec(np.array(bad, dtype=complex))
+    with pytest.raises(DomainError):
+        zeta_em(math.nan)
+    with pytest.raises(DomainError):
+        zeta_em_line(np.array([100.0, math.nan]))
+
+
 def test_hardy_z_regime():
     with pytest.raises(DomainError):
         eval_grid(np.array([20.0]))
@@ -628,6 +639,22 @@ def test_grid_cache_bytes_across_write_pieces(tmp_path):
         write_grid(grid, path)
         header = b"ZML1" + struct.pack("<B", 1) + struct.pack("<d", 1.25e-9) + struct.pack("<Q", rows)
         assert path.read_bytes() == header + np.ascontiguousarray(cols.T, dtype="<f8").tobytes()
+
+
+def test_grid_cache_rejects_bad_record_counts(tmp_path):
+    # A header count beyond the bytes that follow is a truncated file,
+    # however large: it must not reach the read.
+    from zetalab.errors import ConfigError
+
+    path = tmp_path / "short.zml"
+    for count in (3, 1 << 40, 1 << 61, (1 << 64) - 1):
+        header = b"ZML1" + struct.pack("<B", 1) + struct.pack("<d", 0.0) + struct.pack("<Q", count)
+        path.write_bytes(header + b"\x00" * (80 - len(header)))
+        with pytest.raises(ConfigError):
+            read_grid(path)
+    header = b"ZML1" + struct.pack("<B", 1) + struct.pack("<d", 0.0) + struct.pack("<Q", 1)
+    path.write_bytes(header + struct.pack("<5d", 100.0, 1.0, 2.0, 3.0, 4.0) + b"\x00" * 3)
+    assert read_grid(path).t.tolist() == [100.0]
 
 
 def test_grid_cache_rejects_noise(tmp_path):

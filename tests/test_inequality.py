@@ -151,7 +151,7 @@ def test_sides_match_per_twist_composition(toy_scheme, monkeypatch):
                 assert np.max(np.abs(rhs - rhs_ref) / rhs_ref) <= 1e-14
                 assert np.array_equal(lhs <= rhs, lhs_ref <= rhs_ref)
     # One prime sum per range, for both twists and the penalty weight, on a
-    # height set or scheme the memo has not seen; none on a repeat.
+    # height set or scheme the caches have not seen; none on a repeat.
     calls = []
 
     def counted(*args):
@@ -240,7 +240,16 @@ def _report_bytes(rep):
     return [a.tobytes() for a in (rep.t, rep.lhs, rep.rhs, rep.margin, rep.passed)]
 
 
-def test_memo_keeps_the_bits(toy_scheme, monkeypatch):
+def _clear_caches():
+    inequality._grid_of.cache_clear()
+    inequality._prime_sums.cache_clear()
+
+
+def _grid_hits():
+    return inequality._grid_of.cache_info().hits
+
+
+def test_memo_keeps_the_bits(toy_scheme):
     # Every configuration gives the same bytes on a miss, on a hit and from
     # the explicit grid.
     ts = np.random.default_rng(11).uniform(1.0e4, 1.01e4, 200)
@@ -249,26 +258,33 @@ def test_memo_keeps_the_bits(toy_scheme, monkeypatch):
         for variant in inequality.VARIANTS:
             cfg = InterpolationConfig(k=k, scheme=toy_scheme, variant=variant)
             for target in ("zeta", "hardyZ"):
-                monkeypatch.setattr(inequality, "_memo", None)
+                _clear_caches()
                 miss = _report_bytes(check_interpolation(ts, cfg, target))
-                assert inequality._memo is not None
+                assert inequality._grid_of.cache_info().currsize == 1
+                hits = _grid_hits()
                 hit = _report_bytes(check_interpolation(ts, cfg, target))
-                monkeypatch.setattr(inequality, "_memo", None)
+                assert _grid_hits() == hits + 1
+                _clear_caches()
                 by_grid = _report_bytes(check_interpolation(grid, cfg, target))
                 assert miss == hit == by_grid
 
 
-def test_memo_arrays_are_protected(toy_scheme, monkeypatch):
-    monkeypatch.setattr(inequality, "_memo", None)
+def test_memo_arrays_are_protected(toy_scheme):
+    _clear_caches()
     cfg = InterpolationConfig(k=1.5, scheme=toy_scheme)
     ts = np.sort(np.random.default_rng(12).uniform(1.0e4, 1.01e4, 150))
     want = _report_bytes(check_interpolation(ts.copy(), cfg))
-    _, memo_grid, _, psums = inequality._memo
+    # The cached entries, read back through cache hits.
+    key = (ts.shape, ts.tobytes())
+    memo_grid = inequality._grid_of(key)
+    psums = inequality._prime_sums(key, toy_scheme)
+    assert inequality._grid_of.cache_info().misses == 1
+    assert inequality._prime_sums.cache_info().misses == 1
     for arr in (memo_grid.t, memo_grid.Z, memo_grid.Z_prime, memo_grid.theta,
                 memo_grid.theta_prime, *psums):
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    # Reports share the memo's heights; writing the caller's arrays, or a
+    # Reports share the cached heights; writing the caller's arrays, or a
     # report's own, changes no later result.
     rep = check_interpolation(ts, cfg)
     assert rep.t is memo_grid.t
@@ -279,35 +295,59 @@ def test_memo_arrays_are_protected(toy_scheme, monkeypatch):
     ts += 1.0
     assert _report_bytes(check_interpolation(ts, cfg)) != want
     assert _report_bytes(check_interpolation(moved, cfg)) == want
-    # A grid the caller passed keeps its flags and shares its t.
+    # A grid the caller passed keeps its flags and shares its t, and is
+    # never cached: the same heights afterwards give the cached grid's t.
     grid = eval_grid(ts)
     rep = check_interpolation(grid, cfg)
     assert rep.t is grid.t
     assert all(a.flags.writeable for a in (grid.t, grid.Z, grid.Z_prime, grid.theta, grid.theta_prime))
-    assert inequality._memo[1] is not grid
+    assert check_interpolation(ts, cfg).t is not grid.t
 
 
-def test_memo_skips_large_height_sets(toy_scheme, monkeypatch):
+def test_memo_skips_large_height_sets(toy_scheme):
     limit = inequality._MEMO_MAX_HEIGHTS
     cfg = InterpolationConfig(k=1.5, scheme=toy_scheme)
-    monkeypatch.setattr(inequality, "_memo", None)
+    _clear_caches()
     check_interpolation(np.linspace(1.0e4, 1.01e4, limit + 1), cfg)
-    assert inequality._memo is None
-    check_interpolation(np.linspace(1.0e4, 1.01e4, limit), cfg)
-    kept = inequality._memo
-    assert kept[1].t.size == limit
+    assert inequality._grid_of.cache_info().currsize == 0
+    assert inequality._prime_sums.cache_info().currsize == 0
+    kept = check_interpolation(np.linspace(1.0e4, 1.01e4, limit), cfg).t
+    assert kept.size == limit
     check_interpolation(np.linspace(1.0e4, 1.01e4, limit + 1), cfg)
-    assert inequality._memo is kept
+    hits = _grid_hits()
+    assert check_interpolation(np.linspace(1.0e4, 1.01e4, limit), cfg).t is kept
+    assert _grid_hits() == hits + 1
 
 
-def test_memo_threads_alternating_height_sets(toy_scheme, monkeypatch):
-    monkeypatch.setattr(inequality, "_memo", None)
+def test_single_heights_keep_the_cached_set(toy_scheme, monkeypatch):
+    # `interpolation_sides` between checks of one height set neither evicts
+    # the set nor evaluates it again.
+    _clear_caches()
+    cfg = InterpolationConfig(k=1.5, scheme=toy_scheme)
+    ts = np.random.default_rng(14).uniform(1.0e4, 1.01e4, 10_000)
+    sizes = []
+
+    def counted(t):
+        sizes.append(np.size(t))
+        return eval_grid(t)
+
+    monkeypatch.setattr(inequality, "eval_grid", counted)
+    want = _report_bytes(check_interpolation(ts, cfg))
+    for t in ts[:5]:
+        lhs, rhs = interpolation_sides(float(t), cfg)
+        assert lhs <= rhs
+        assert _report_bytes(check_interpolation(ts, cfg)) == want
+    assert sizes.count(ts.size) == 1
+    assert sizes.count(1) == 5
+
+
+def test_memo_threads_alternating_height_sets(toy_scheme):
     cfg = InterpolationConfig(k=1.3, scheme=toy_scheme, variant="partial_product")
     rng = np.random.default_rng(13)
     sets = [np.sort(rng.uniform(1.0e4, 1.01e4, 120)) for _ in range(2)]
     want = []
     for ts in sets:
-        inequality._memo = None
+        _clear_caches()
         want.append(_report_bytes(check_interpolation(ts, cfg)))
     errors = []
 

@@ -267,6 +267,13 @@ def test_second_moment_length_guard():
         contour_second_moment(long_poly, 1.0e4, ShiftConfig.for_height(1.0e4), PHI)
 
 
+def test_shift_config_needs_finite_positive_logT():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ShiftConfig(bad)
+    assert ShiftConfig(math.log(1.0e4)).radii[0] == 3.0 / math.log(1.0e4)
+
+
 def test_fourth_moment_contour_node_stability():
     T = 1.0e4
     scale = fourth_moment_scale(T)
