@@ -50,7 +50,8 @@ def read_grid(path: str | Path) -> GridData:
             raise ConfigError(f"unsupported grid cache version {version}")
         (est,) = struct.unpack("<d", fh.read(8))
         (count,) = struct.unpack("<Q", fh.read(8))
-        # The header's count is checked against the file before any read.
+        # Checked before the read: a corrupt count asks fh.read for up to 2^64
+        # records (MemoryError or OverflowError, not a cache error).
         if count * _FIELDS * 8 > os.fstat(fh.fileno()).st_size - fh.tell():
             raise ConfigError(f"truncated grid cache {path}")
         data = np.frombuffer(fh.read(count * _FIELDS * 8), dtype="<f8")

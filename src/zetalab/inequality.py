@@ -139,6 +139,9 @@ def check_interpolation(
     if not isinstance(grid, GridData):
         grid = (_grid_of if cached else _grid_of.__wrapped__)(key)
     psums = (_prime_sums if cached else _prime_sums.__wrapped__)(key, cfg.scheme)
+    # Freed before the sides: on a hit, the sorted copy and the key are 16
+    # bytes per height that the caches do not hold (`pointwise` peak RSS).
+    del t, key
     lhs, rhs = _sides(grid, psums, cfg, target)
     margin = rhs - lhs
     return InterpolationReport(grid.t, lhs, rhs, margin, margin >= 0.0, cfg.k, target, cfg.variant)
