@@ -1,10 +1,11 @@
 """Command-line orchestration: scheme/eval/moments/inequality/twisted/selftest.
 
 Configuration comes from flags plus an optional key=value file (flags win).
-All randomness flows through a counter-based Philox generator seeded by
---seed, and parallel work is split into blocks whose results are combined
-in a fixed order, so identical configs give byte-identical CSV output at
-any worker count.
+The two commands that sample, inequality and selftest, draw from a
+counter-based Philox generator seeded by --seed.  Every command but scheme
+takes --workers; parallel work is split into blocks whose results are
+combined in a fixed order, so identical configs give byte-identical CSV
+output at any worker count.
 
 Exit codes: 0 ok, 2 config error (also non-finite flags and unreadable files),
 3 numeric regime error, 4 capacity error.
@@ -352,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value file; explicit flags win")
-        p.add_argument("--seed", type=int, default=1, help="Philox seed for any sampling")
-        p.add_argument("--workers", type=int, default=1, help="worker threads")
         p.add_argument("--out", default=None, help="output CSV path")
         p.set_defaults(subparser=p)
 
@@ -367,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate Z, Z', theta, theta' on a grid")
     common(p)
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.add_argument("--t-min", type=float, required=True)
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument("--step", type=float, default=None)
@@ -376,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moments", help="joint moment over [T, 2T]")
     common(p)
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
@@ -386,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inequality", help="pointwise interpolation bound over sampled heights")
     common(p)
+    p.add_argument("--seed", type=int, default=1, help="Philox seed for the sampled inputs")
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.add_argument("--T", type=float, default=1.0e5, help="nominal height for the scheme")
     p.add_argument("--boundaries", default="7.38905609893065,14,30")
     p.add_argument("--t-min", type=float, default=1.0e4)
@@ -401,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("twisted", help="direct vs contour twisted moments")
     common(p)
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--poly", default="one", help="one | one_plus_2 | coefficients CSV")
     p.add_argument("--weight", choices=twisted.WEIGHTS, default="dzeta2")
@@ -412,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the invariant suite and write a report")
     common(p)
+    p.add_argument("--seed", type=int, default=1, help="Philox seed for the sampled inputs")
+    p.add_argument("--workers", type=int, default=1, help="worker threads")
     p.set_defaults(func=_cmd_selftest, default_out="selftest.csv")
 
     return parser
@@ -426,8 +432,9 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{key.replace('_', '-')} must be finite, got {value}")
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        workers = getattr(args, "workers", 1)
+        if workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {workers}")
         if getattr(args, "points_per_gap", None) is not None and args.points_per_gap < 1:
             raise ConfigError(f"--points-per-gap must be >= 1, got {args.points_per_gap}")
         if args.out is None:

@@ -128,7 +128,7 @@ def theta_pair(t: float) -> tuple[float, float]:
 
 
 def theta_pair_vec(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if np.any(t < ORACLE_MIN_T):
+    if not np.all(t >= ORACLE_MIN_T):
         raise DomainError(f"theta expansion needs t >= {ORACLE_MIN_T:g} everywhere")
     half_log = 0.5 * np.log(t / TWO_PI)
     theta = t * half_log - t / 2.0 - math.pi / 8.0
@@ -382,12 +382,15 @@ def zeta_em_vec(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     real part drops, so the strip Re s < -1/2 is routed through
     zeta(s) = chi(s) zeta(1-s).  Each argument takes its own cutoff, so a
     value does not depend on the rest of the batch.  Raises DomainError
-    for non-finite s and outside the oracle regime |Im s| <= EM_MAX_IM.
+    for non-finite s, at the pole s = 1 and outside the oracle regime
+    |Im s| <= EM_MAX_IM.
     """
     s = np.asarray(s, dtype=complex)
     flat = s.ravel()
     if not np.all(np.isfinite(flat)):
         raise DomainError("Euler-Maclaurin oracle needs finite s")
+    if np.any(np.abs(flat - 1.0) < 1.0e-12):
+        raise DomainError("zeta has a pole at s = 1")
     if np.any(np.abs(flat.imag) > EM_MAX_IM):
         raise DomainError(f"Euler-Maclaurin oracle regime is |Im s| <= {EM_MAX_IM:g}")
     reflect = flat.real < _REFLECT_BELOW
@@ -412,10 +415,7 @@ def zeta_em_vec(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def zeta_em(s: complex) -> tuple[complex, complex]:
     """Euler-Maclaurin zeta(s) and zeta'(s); oracle regime |Im s| <= 1e5."""
-    s = complex(s)
-    if abs(s - 1.0) < 1.0e-12:
-        raise DomainError("zeta has a pole at s = 1")
-    z, dz, _ = zeta_em_vec(np.array([s]))
+    z, dz, _ = zeta_em_vec(np.array([complex(s)]))
     return complex(z[0]), complex(dz[0])
 
 
@@ -1027,19 +1027,22 @@ def z_oracle(t):
     return z if np.ndim(t) else float(z)
 
 
-# Bracket width at which count_sign_changes stops bisecting.
+# Grid step of count_sign_changes' scan, and the bracket width at which it
+# stops bisecting.
+SCAN_STEP = 0.05
 REFINE_TOL = 1.0e-9
 
 
-def count_sign_changes(t0: float, t1: float, step: float = 0.05) -> tuple[int, list[float]]:
-    """Count sign changes of Z on [t0, t1] by grid scan plus bisection.
+def count_sign_changes(t0: float, t1: float) -> tuple[int, list[float]]:
+    """Count sign changes of Z on [t0, t1] by a scan at SCAN_STEP plus
+    bisection.
 
     Uses the oracle path only, so the count is independent of the
     Riemann-Siegel machinery it is used to validate.  All brackets are
     bisected in lockstep, one z_oracle call per step; each stops once its
     width is within REFINE_TOL.
     """
-    grid = np.arange(t0, t1 + step, step)
+    grid = np.arange(t0, t1 + SCAN_STEP, SCAN_STEP)
     grid = grid[grid <= t1]
     vals = z_oracle(grid)
     left, right = vals[:-1], vals[1:]

@@ -98,9 +98,7 @@ def big_omega(n: int) -> int:
     return sum(factorize(n).values())
 
 
-def _enumerate_coeffs(
-    primes: list[int], alpha: complex, max_omega: int, cap: int
-) -> dict[int, complex]:
+def _enumerate_coeffs(primes: list[int], alpha: complex, max_omega: int) -> dict[int, complex]:
     """All n supported on `primes` with Omega(n) <= max_omega, keyed to
     alpha^Omega(n) * prod 1/(m_i!).  Depth-first over the prime list."""
     coeffs: dict[int, complex] = {1: 1.0 + 0.0j}
@@ -108,9 +106,10 @@ def _enumerate_coeffs(
         return coeffs
 
     def descend(idx: int, n: int, weight: complex, budget: int) -> None:
-        if len(coeffs) > cap:
+        if len(coeffs) > DEFAULT_TERM_CAP:
             raise CapacityError(
-                f"increment polynomial exceeds {cap} terms (prime range of {len(primes)})"
+                f"increment polynomial exceeds {DEFAULT_TERM_CAP} terms "
+                f"(prime range of {len(primes)})"
             )
         for i in range(idx, len(primes)):
             p = primes[i]
@@ -127,11 +126,7 @@ def _enumerate_coeffs(
     return coeffs
 
 
-def build_increment_poly(
-    scheme: IncrementScheme,
-    spec: MultiplicativeSpec,
-    cap: int = DEFAULT_TERM_CAP,
-) -> DirichletPoly:
+def build_increment_poly(scheme: IncrementScheme, spec: MultiplicativeSpec) -> DirichletPoly:
     """Increment factor for range j: coefficients alpha^Omega(n) g(n) for the
     n supported on the range primes with Omega(n) <= omega_cutoff * P_j.
 
@@ -142,11 +137,11 @@ def build_increment_poly(
     max_omega = int(math.floor(spec.omega_cutoff * pj))
     # Predicted count: multisets of size <= max_omega from len(ps) primes.
     predicted = math.comb(len(ps) + max_omega, max_omega)
-    if predicted > cap:
+    if predicted > DEFAULT_TERM_CAP:
         raise CapacityError(
-            f"increment j={spec.j}: ~{predicted} terms exceed cap {cap}"
+            f"increment j={spec.j}: ~{predicted} terms exceed cap {DEFAULT_TERM_CAP}"
         )
-    coeffs = _enumerate_coeffs(ps, complex(spec.alpha), max_omega, cap)
+    coeffs = _enumerate_coeffs(ps, complex(spec.alpha), max_omega)
     return DirichletPoly.from_coeffs(coeffs)
 
 
@@ -174,16 +169,14 @@ def poly_eval_grid(poly: DirichletPoly, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def poly_product(
-    factors: list[DirichletPoly], cap: int = DEFAULT_TERM_CAP
-) -> DirichletPoly:
+def poly_product(factors: list[DirichletPoly]) -> DirichletPoly:
     """Dirichlet convolution of the factors; length bounds multiply."""
     acc: dict[int, complex] = {1: 1.0 + 0.0j}
     bound = 1
     for fac in factors:
-        if len(acc) * len(fac) > cap:
+        if len(acc) * len(fac) > DEFAULT_TERM_CAP:
             raise CapacityError(
-                f"product would touch {len(acc) * len(fac)} > {cap} coefficient pairs"
+                f"product would touch {len(acc) * len(fac)} > {DEFAULT_TERM_CAP} coefficient pairs"
             )
         nxt: dict[int, complex] = {}
         for n1, a1 in acc.items():
@@ -235,23 +228,22 @@ def exp_identity_gap(
     signals a coefficient bug.
     """
     ps = [int(p) for p in scheme.prime_range(j)]
-    coeffs = _enumerate_coeffs(ps, complex(alpha), taylor_depth, DEFAULT_TERM_CAP)
+    coeffs = _enumerate_coeffs(ps, complex(alpha), taylor_depth)
     poly = DirichletPoly.from_coeffs(coeffs)
     lhs = poly_eval(poly, t)
     rhs = truncated_exp(alpha * prime_sum_at(scheme, j, complex(0.5, t)), taylor_depth)
     return float(abs(lhs - rhs))
 
 
-def product_length_fraction(
-    log2_bigT: float, threshold: float = 1.0e4, c_omega: float = 500.0
-) -> float:
+def product_length_fraction(log2_bigT: float) -> float:
     """Exponent-domain length of the full increment product, as a fraction of
-    log T.
+    log T, for the canonical threshold 1e4 and Omega cutoff multiplier 500.
 
     Computed from iterated logs only (log T itself cancels), so the canonical
     parameters can be checked even though such T overflow floats.  The value
     must stay below 0.1 for the product length to remain under T^(1/10).
     """
+    threshold, c_omega = 1.0e4, 500.0
     if log2_bigT < threshold:
         raise DomainError("need log_2 T >= threshold so that at least range 2 exists")
     xs = [log2_bigT]

@@ -355,14 +355,7 @@ class ScalingReport:
     predicted_exponent: float
 
 
-def scaling_report(
-    T_list: list[float],
-    k: float,
-    h: float,
-    target: str = "zeta",
-    points_per_gap: int | None = None,
-    workers: int = 1,
-) -> ScalingReport:
+def scaling_report(T_list: list[float], k: float, h: float, target: str = "zeta") -> ScalingReport:
     """Ratios against T (log T)^(k^2+2h) plus a least-squares log-log slope.
 
     Descriptive only: the conjectured asymptotics converge slowly, so no
@@ -376,7 +369,7 @@ def scaling_report(
     values = []
     ratios = []
     for T in T_list:
-        est = joint_moment(MomentRequest(T, k, h, target, points_per_gap), workers)
+        est = joint_moment(MomentRequest(T, k, h, target))
         values.append(est.value)
         ratios.append(conjectured_power_ratio(est))
     xs = np.log(np.log(np.asarray(T_list)))

@@ -114,23 +114,18 @@ class CutoffFn:
     """Smooth bump: 1 on [1, 2], supported on [3/4, 9/4], C-infinity.
 
     Built from the standard exponential step s(x) = f(x)/(f(x)+f(1-x)) with
-    f(x) = exp(-sharpness/x).
+    f(x) = exp(-1/x).
     """
 
-    sharpness: float = 1.0
-    plateau: tuple[float, float] = (1.0, 2.0)
-    support: tuple[float, float] = (0.75, 2.25)
-
-    def __post_init__(self) -> None:
-        if self.sharpness <= 0.0:
-            raise DomainError("sharpness must be positive")
+    plateau = (1.0, 2.0)
+    support = (0.75, 2.25)
 
     def _step(self, x: np.ndarray) -> np.ndarray:
         # Smooth 0 -> 1 on [0, 1]; clamped outside.
         x = np.clip(x, 0.0, 1.0)
         with np.errstate(divide="ignore", over="ignore"):
-            f = np.where(x > 0.0, np.exp(-self.sharpness / np.maximum(x, 1e-300)), 0.0)
-            g = np.where(x < 1.0, np.exp(-self.sharpness / np.maximum(1.0 - x, 1e-300)), 0.0)
+            f = np.where(x > 0.0, np.exp(-1.0 / np.maximum(x, 1e-300)), 0.0)
+            g = np.where(x < 1.0, np.exp(-1.0 / np.maximum(1.0 - x, 1e-300)), 0.0)
         return f / (f + g)
 
     def __call__(self, u) -> np.ndarray | float:
@@ -156,7 +151,7 @@ class BSeriesConfig:
     def __post_init__(self) -> None:
         if self.truncation_depth < 10:
             raise DomainError("truncation depth must be >= 10")
-        if self.tail_tolerance <= 0.0:
+        if not self.tail_tolerance > 0.0:
             raise DomainError("tail tolerance must be positive")
 
 
@@ -239,11 +234,11 @@ def b_factor(
 # ---------------------------------------------------------------------------
 
 
-def _support_pairs(a: DirichletPoly, cap: int):
+def _support_pairs(a: DirichletPoly):
     support = a.support()
-    if len(support) ** 2 > cap:
+    if len(support) ** 2 > DEFAULT_PAIR_CAP:
         raise CapacityError(
-            f"support of {len(support)} gives {len(support)**2} pairs > cap {cap}"
+            f"support of {len(support)} gives {len(support)**2} pairs > cap {DEFAULT_PAIR_CAP}"
         )
     for h in support:
         for k in support:
@@ -251,38 +246,25 @@ def _support_pairs(a: DirichletPoly, cap: int):
             yield h, k, g, (h // g) * k
 
 
-def f_sum(
-    a: DirichletPoly, z1: complex, z2: complex, cap: int = DEFAULT_PAIR_CAP
-) -> complex:
+def f_sum(a: DirichletPoly, z1: complex, z2: complex) -> complex:
     """Exact double sum a_h conj(a_k) / [h,k] * (h,k)^{z1+z2} / (h^{z1} k^{z2})."""
-    return complex(_pair_sum_grid(a, np.array([z1]), np.array([z2]), cap)[0, 0])
+    return complex(_pair_sum_grid(a, np.array([z1]), np.array([z2]))[0, 0])
 
 
-def g_sum(
-    a: DirichletPoly,
-    z: tuple[complex, complex, complex, complex],
-    cfg: BSeriesConfig = BSeriesConfig(),
-    cap: int = DEFAULT_PAIR_CAP,
-) -> complex:
+def g_sum(a: DirichletPoly, z: tuple[complex, complex, complex, complex]) -> complex:
     """Pair sum weighted by series factors at the coprime parts h/(h,k), k/(h,k)."""
     z1, z2, z3, z4 = (complex(w) for w in z)
     total = 0.0 + 0.0j
-    for h, k, g, lcm in _support_pairs(a, cap):
+    for h, k, g, lcm in _support_pairs(a):
         coef = a.coeffs[h] * np.conj(a.coeffs[k]) / lcm
-        total += (
-            coef
-            * b_factor(h // g, (z1, z2, z3, z4), cfg)
-            * b_factor(k // g, (z3, z4, z1, z2), cfg)
-        )
+        total += coef * b_factor(h // g, (z1, z2, z3, z4)) * b_factor(k // g, (z3, z4, z1, z2))
     return complex(total)
 
 
-def _pair_sum_grid(
-    a: DirichletPoly, zrow: np.ndarray, zcol: np.ndarray, cap: int = DEFAULT_PAIR_CAP
-) -> np.ndarray:
+def _pair_sum_grid(a: DirichletPoly, zrow: np.ndarray, zcol: np.ndarray) -> np.ndarray:
     """f_sum on the grid zrow x zcol; separable per support pair."""
     out = np.zeros((zrow.size, zcol.size), dtype=complex)
-    for h, k, g, lcm in _support_pairs(a, cap):
+    for h, k, g, lcm in _support_pairs(a):
         coef = a.coeffs[h] * np.conj(a.coeffs[k]) / lcm
         lg, lh, lk = math.log(g), math.log(h), math.log(k)
         out += coef * np.outer(np.exp(zrow * (lg - lh)), np.exp(zcol * (lg - lk)))
@@ -331,8 +313,8 @@ def mellin_weight(w: complex, T: float, phi: CutoffFn = CutoffFn()) -> complex:
     Substituting t = T u gives T (T/2pi)^w times a fixed integral in u,
     evaluated by a cached composite Gauss-Legendre rule to relative 1e-8.
     """
-    if T <= 0.0:
-        raise DomainError("T must be positive")
+    if not (math.isfinite(T) and T > 0.0):
+        raise DomainError(f"T must be finite and positive, got {T}")
     u, wq, lu = _u_rule(phi)
     val = np.sum(wq * np.exp(w * lu))
     return complex(T * np.exp(w * math.log(T / TWO_PI)) * val)
@@ -723,30 +705,25 @@ def rankin_bound_check(range_primes: list[int], r: int) -> RankinReport:
     )
 
 
-def twist_pair_sum_bruteforce(
-    range_primes: list[int], twist: float, omega_cap: int = 24
-) -> float:
+def twist_pair_sum_bruteforce(range_primes: list[int], twist: float) -> float:
     """Cutoff-free pair sum twist^(Omega(n)+Omega(m)) g(n) g(m) / [n, m] by
-    enumeration up to Omega <= omega_cap (the tail is factorially small)."""
+    enumeration up to Omega <= 24 (the tail is factorially small)."""
     ps = [int(p) for p in range_primes]
     if len(ps) > 4:
         raise CapacityError("brute-force pair sum limited to <= 4 primes")
-    vecs = np.concatenate(
-        [_exponent_vectors(r, len(ps)) for r in range(omega_cap + 1)], axis=0
-    )
+    vecs = np.concatenate([_exponent_vectors(r, len(ps)) for r in range(25)], axis=0)
     return _lcm_pair_sum(ps, vecs, twist)
 
 
-def twist_pair_sum_euler(
-    range_primes: list[int], twist: float, depth: int = 40
-) -> float:
-    """Euler-product route to the same cutoff-free pair sum."""
+def twist_pair_sum_euler(range_primes: list[int], twist: float) -> float:
+    """Euler-product route to the same cutoff-free pair sum, each local
+    factor summed to exponent 40."""
     out = 1.0
     for p in range_primes:
         p = int(p)
         local = 0.0
-        for e in range(depth + 1):
-            for f in range(depth + 1):
+        for e in range(41):
+            for f in range(41):
                 local += (
                     twist ** (e + f)
                     / (math.factorial(e) * math.factorial(f))

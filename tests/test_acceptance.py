@@ -64,7 +64,7 @@ def test_criterion_2_oracle_agreement():
     z_oracle_vals = (np.exp(1j * theta) * zeta_vals).real
     grid = critline.eval_grid(ts)
     max_err = float(np.max(np.abs(grid.Z - z_oracle_vals)))
-    count, _ = critline.count_sign_changes(0.0, 100.0, step=0.05)
+    count, _ = critline.count_sign_changes(0.0, 100.0)
     ok = max_err < 1.0e-6 and count == 29
     report(2, ok, f"max |Z_rs - Z_em| = {max_err:.2e} over {ts.size} heights; "
                   f"sign changes on [0,100] = {count}", time.time() - t0, 60.0)

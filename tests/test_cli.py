@@ -1,3 +1,6 @@
+import argparse
+import ast
+import inspect
 import math
 import os
 import resource
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import zetalab
+from zetalab import cli
 from zetalab.cli import main
 
 RUN = [sys.executable, "-m", "zetalab"]
@@ -295,7 +299,8 @@ def test_config_file_errors(tmp_path):
     )
     assert res2.returncode == 2, res2.stderr
     assert "kind=config" in res2.stderr
-    for text in ("points_per_gap = many\n", "step = nan\n"):
+    # `seed` is not an option of eval.
+    for text in ("points_per_gap = many\n", "step = nan\n", "seed = 3\n"):
         cfg.write_text(text)
         res3 = run_cli(
             ["eval", "--t-min", "100", "--t-max", "101", "--config", str(cfg)], tmp_path
@@ -309,3 +314,25 @@ def test_main_callable_in_process(tmp_path):
     code = main(["moments", "--T", "1e3", "--k", "1", "--h", "0.5", "--out", str(out)])
     assert code == 0
     assert out.exists()
+
+
+def test_every_option_is_read():
+    # A flag that neither the subcommand's handler nor main reads as
+    # args.<dest> is accepted and then ignored.
+    def reads(fn) -> set[str]:
+        return {
+            node.attr
+            for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+        }
+
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    in_main = reads(cli.main)
+    unread = [
+        f"{name} --{action.dest}"
+        for name, p in sub.choices.items()
+        for action in p._actions
+        if action.dest != "help" and action.dest not in in_main | reads(p.get_default("func"))
+    ]
+    assert unread == []

@@ -70,7 +70,7 @@ def test_build_increment_poly_empty_range(table):
 def test_build_increment_poly_capacity(table):
     scheme = custom_scheme(1.0e5, [E_SQUARED, 14.0, 100.0], table)
     with pytest.raises(CapacityError, match="j=3"):
-        build_increment_poly(scheme, MultiplicativeSpec(alpha=1.0, j=3), cap=100)
+        build_increment_poly(scheme, MultiplicativeSpec(alpha=1.0, j=3))
 
 
 def test_coefficients_exact_rationals(toy_scheme):
@@ -145,9 +145,10 @@ def test_eval_homomorphism(t):
 
 
 def test_poly_product_capacity():
-    pa = DirichletPoly.from_coeffs({n: 1.0 for n in range(1, 40)})
+    # 3199^2 coefficient pairs pass DEFAULT_TERM_CAP = 10^7 only once.
+    pa = DirichletPoly.from_coeffs({n: 1.0 for n in range(1, 3200)})
     with pytest.raises(CapacityError):
-        poly_product([pa, pa], cap=100)
+        poly_product([pa, pa])
 
 
 def test_exp_identity_gap_examples(toy_scheme):

@@ -1,6 +1,6 @@
 """Source-layout checks: shared constants, the target branch and the CSV
-writer each live in one module of the package, and every public name has a
-caller outside the tests."""
+writer each live in one module of the package, and every public name and
+every defaulted option has a caller outside the tests."""
 
 import ast
 import re
@@ -105,6 +105,88 @@ def test_public_names_have_callers():
             if not called:
                 unused.append(stmt.name)
     assert sorted(unused) == sorted(KEPT)
+
+
+# Defaulted parameters and dataclass fields that no code outside the tests
+# sets, each kept because the named test needs a value other than the default.
+KEPT_OPTIONS = {
+    "b_factor.cfg": "test_b_factor_depth_stability",
+    "BSeriesConfig.truncation_depth": "test_b_factor_depth_stability",
+    "BSeriesConfig.tail_tolerance": "test_b_factor_preconditions",
+    "MultiplicativeSpec.omega_cutoff": "test_build_increment_poly_enumeration",
+    "interpolation_sides.target": "test_bound_random_k_and_t",
+}
+
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, int | None]]:
+    """(name, positional index after the first `skip`, or None for
+    keyword-only) of each parameter of fn that has a default."""
+    args = fn.args
+    pos = (args.posonlyargs + args.args)[skip:]
+    first = len(pos) - len(args.defaults)
+    return [(a.arg, i) for i, a in enumerate(pos) if i >= first] + [
+        (a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+
+
+def _options() -> list[tuple[str, str, str, int | None]]:
+    """(key, callee, name, positional index) of every defaulted parameter of
+    a public function or method and every defaulted field of a public
+    dataclass of the package."""
+    out = []
+    for path in sorted((ROOT / "src" / "zetalab").glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                out += [(f"{stmt.name}.{n}", stmt.name, n, i) for n, i in _defaulted(stmt, 0)]
+            if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+                continue
+            fields = [f for f in stmt.body if isinstance(f, ast.AnnAssign)]
+            out += [
+                (f"{stmt.name}.{f.target.id}", stmt.name, f.target.id, i)
+                for i, f in enumerate(fields) if f.value is not None
+            ]
+            for fn in stmt.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    out += [
+                        (f"{stmt.name}.{fn.name}.{n}", fn.name, n, i)
+                        for n, i in _defaulted(fn, 0 if static else 1)
+                    ]
+    return out
+
+
+def test_options_have_callers():
+    # A default that only tests override is a setting with one value in use.
+    calls: dict[str, list[ast.Call]] = {}
+    for top in ("src", "scripts", "perfbench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if not path.name.startswith("test_"):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Call):
+                        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                        calls.setdefault(name, []).append(node)
+
+    def passed(call: ast.Call, name: str, index: int | None) -> bool:
+        if any(kw.arg in (name, None) for kw in call.keywords):
+            return True
+        if index is None:
+            return False
+        return index < len(call.args) or any(
+            isinstance(a, ast.Starred) for a in call.args[: index + 1]
+        )
+
+    unset = [
+        key for key, callee, name, index in _options()
+        if not any(passed(call, name, index) for call in calls.get(callee, []))
+    ]
+    assert sorted(unset) == sorted(KEPT_OPTIONS)
+    tests = {
+        stmt.name
+        for path in (ROOT / "tests").glob("test_*.py")
+        for stmt in ast.parse(path.read_text()).body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    assert set(KEPT_OPTIONS.values()) <= tests
 
 
 def _reachable(tree: ast.Module, roots: tuple[str, ...]) -> set[str]:

@@ -87,6 +87,8 @@ def test_b_factor_preconditions():
         b_factor(6, (0.3, 0.0, 0.0, 0.0))
     with pytest.raises(TruncationError):
         b_factor(2, (0.24, 0.24, 0.24, 0.24), BSeriesConfig(tail_tolerance=1e-30))
+    with pytest.raises(DomainError):
+        BSeriesConfig(tail_tolerance=math.nan)
 
 
 def test_b_factor_depth_stability():
@@ -133,9 +135,10 @@ def test_f_sum_hermitian():
 
 
 def test_f_sum_capacity():
-    big = DirichletPoly.from_coeffs({n: 1.0 for n in range(1, 20)})
+    # 10001^2 support pairs exceed DEFAULT_PAIR_CAP = 10^8.
+    big = DirichletPoly.from_coeffs({n: 1.0 for n in range(1, 10_002)})
     with pytest.raises(CapacityError):
-        f_sum(big, 0.0, 0.0, cap=100)
+        f_sum(big, 0.0, 0.0)
 
 
 def test_g_sum_trivial_and_one_prime():
@@ -195,6 +198,9 @@ def test_mellin_plateau_bounds():
     val = mellin_weight(0.0, 1.0e4)
     assert abs(val.imag) < 1e-9
     assert 1.0e4 <= val.real <= 1.5e4
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            mellin_weight(0.5, bad)
 
 
 def test_mellin_scaling_substitution():
