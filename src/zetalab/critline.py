@@ -57,15 +57,22 @@ RS_ERR_COEF = 8.5e-3
 # heights in [60, 9.9e6] the error above the remainder cap reached 5.5 units.
 RS_ROUNDOFF_COEF = 20.0
 
-# Bernoulli terms M of the Euler-Maclaurin tail; the cutoff N follows s.
-EM_BERNOULLI_TERMS = 30
+# Truncation target of the Euler-Maclaurin tail (see `_em_cutoffs`).
+_EM_TAIL_TARGET = 1.0e-13
+
+# Cost of one Bernoulli term of the tail against one row of the power-sum
+# table, per argument; `_em_cutoffs` trades N against M at this rate.
+_EM_TERM_WEIGHT = 3.0
 
 # Roundoff of the Euler-Maclaurin value in units of eps (|Im s| log N
 # N^{max(0, 1/2 - sigma)} + |N^{1-s} / (s - 1)| + |zeta|): the float64 phases
 # Im(s) log n of the power sum, and its cancellation against the integral
 # term.  Against mpmath.zeta at 1200 heights on the line in [10, 1e5] and 900
 # points off it (sigma in [-6, 3], near the pole, on the real axis) the error
-# reached 2.5 units.
+# reached 2.5 units.  For sigma < -1/2 it also sizes the roundoff of
+# chi(s) zeta(1 - s), in units of eps |chi zeta(1 - s)| times the float64
+# terms of log chi (see `zeta_em_vec`): at 300 such points with |Im s| <= 1e3
+# the error reached 0.67 of those units.
 EM_ROUNDOFF_COEF = 8.0
 
 # Lanes of the oracle's power-sum reduction (see `_lane_sum`).
@@ -139,14 +146,17 @@ def theta_pair_vec(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, theta_p
 
 
+# Shift of the Stirling series of `_lgamma_vec` and `_digamma_vec`.
+_GAMMA_SHIFT = 18
+
+
 def _lgamma_vec(w: np.ndarray) -> np.ndarray:
     """Principal log Gamma for arrays with Re w > 0 (fixed shift + Stirling)."""
     w = np.asarray(w, dtype=complex)
-    shift_count = 18
     acc = np.zeros_like(w)
-    for i in range(shift_count):
+    for i in range(_GAMMA_SHIFT):
         acc += np.log(w + i)
-    ws = w + shift_count
+    ws = w + _GAMMA_SHIFT
     bern = _bernoulli(22)
     out = (ws - 0.5) * np.log(ws) - ws + 0.5 * math.log(TWO_PI)
     wp = ws.copy()
@@ -158,11 +168,10 @@ def _lgamma_vec(w: np.ndarray) -> np.ndarray:
 
 def _digamma_vec(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
-    shift_count = 18
     acc = np.zeros_like(w)
-    for i in range(shift_count):
+    for i in range(_GAMMA_SHIFT):
         acc += 1.0 / (w + i)
-    ws = w + shift_count
+    ws = w + _GAMMA_SHIFT
     bern = _bernoulli(22)
     out = np.log(ws) - 0.5 / ws
     wp = ws * ws
@@ -186,23 +195,71 @@ def theta_gamma_prime(t):
 # ---------------------------------------------------------------------------
 
 
-def _em_cutoffs(s: np.ndarray) -> np.ndarray:
-    """Cutoff N of each argument, as an int64 array.
+def _em_padded(n):
+    """Rows 0..n of a power-sum table, rounded up to whole lanes."""
+    return -(-(n + 1) // _EM_LANES) * _EM_LANES
 
-    N is picked so the Bernoulli tail ratio q = (|s| + 2M) / (2 pi N) is small
-    enough that 2 N^{1-sigma} q^{2M} clears 1e-13; sigma below 1/2 needs a
-    smaller q, handled by doubling.
+
+def _em_cutoffs(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cutoff N and Bernoulli terms M of each argument, as two int64 arrays.
+
+    Each pair meets the truncation target 2 N^e q^{2M} < _EM_TAIL_TARGET,
+    with e = max(1 - sigma, 1/2) and q = (|s| + 2M) / (2 pi N).  For a given
+    M the least such N is closed: log N = log a + D / (2M - e), with
+    a = (|s| + 2M) / (2 pi) and D = log(2 / _EM_TAIL_TARGET) + e log a.  M
+    is the cheaper, by the padded N (the rows of the power-sum table) plus
+    _EM_TERM_WEIGHT M, of two candidates:
+
+    - the stationary point of the continuous cost N + w M, where
+      2 a E D / (2M - e)^2 = w + E / pi with E = N / a: two fixed-point
+      steps from M = 16, rounded;
+    - where N has at most 16 lane blocks, the least M that brings N into
+      the lane block below: three Newton steps from the first candidate on
+      y log(2 pi N / (|s| + y)) = log(2 / _EM_TAIL_TARGET) + e log N in
+      y = 2M, whose left side is concave, so the steps stay below the root.
+
+    A padded table costs about the same for every N of a lane block, so
+    near the pole the second candidate takes N = 15 with M = 13 where the
+    first takes N = 20 with M = 8.
     """
-    reach = np.abs(s) + 2 * EM_BERNOULLI_TERMS
-    n_cut = np.maximum(20.0, np.ceil(reach / math.pi))
+    size = np.abs(s)
     expo = np.maximum(1.0 - s.real, 0.5)
-    for _ in range(12):
-        q = reach / (TWO_PI * n_cut)
-        short = 2.0 * n_cut**expo * q ** (2 * EM_BERNOULLI_TERMS) >= 1.0e-13
-        if not short.any():
-            break
-        n_cut[short] *= 2.0
-    return n_cut.astype(np.int64)
+    log_target = math.log(2.0 / _EM_TAIL_TARGET)
+
+    def least_n(m):
+        log_a = np.log((size + 2.0 * m) / TWO_PI)
+        # floor + 1 lies strictly above the least real N; the slack in the
+        # exponent covers the rounding of the closed form.
+        log_n = log_a + (log_target + expo * log_a) / (2.0 * m - expo) + 1.0e-12
+        return np.maximum(np.floor(np.exp(log_n)) + 1.0, 4.0)
+
+    m = np.full(s.shape, 16.0)
+    for _ in range(2):
+        a = (size + 2.0 * m) / TWO_PI
+        depth = log_target + expo * np.log(a)
+        ratio = np.exp(depth / (2.0 * m - expo))
+        m = 0.5 * expo + np.sqrt(a * ratio * depth / (2.0 * _EM_TERM_WEIGHT + ratio * (2.0 / math.pi)))
+    m = np.maximum(np.rint(m), 1.0)
+    n = least_n(m)
+    rows = _em_padded(n)
+    small = rows <= 16 * _EM_LANES
+    if np.any(small):
+        target = np.maximum(rows - _EM_LANES - 1.0, 4.0)
+        depth = log_target + expo * np.log(target)
+        reach = np.log(TWO_PI * target)
+        y = 2.0 * m
+        for _ in range(3):
+            wide = size + y
+            gap = reach - np.log(wide)
+            # Past the peak of the left side the block below is out of
+            # reach; the floor on the slope sends y past the cap.
+            slope = np.maximum(gap - y / wide, 1.0e-3)
+            y += (depth - y * gap) / slope
+        m_low = np.ceil(0.5 * np.minimum(y, 1.0e4))
+        n_low = least_n(m_low)
+        low = small & (_em_padded(n_low) + _EM_TERM_WEIGHT * m_low < rows + _EM_TERM_WEIGHT * m)
+        n, m = np.where(low, n_low, n), np.where(low, m_low, m)
+    return n.astype(np.int64), m.astype(np.int64)
 
 
 def _lane_sum(table: np.ndarray) -> np.ndarray:
@@ -220,6 +277,36 @@ def _lane_sum(table: np.ndarray) -> np.ndarray:
         half = part.shape[0] // 2
         part = part[:half] + part[half:]
     return part[0]
+
+
+def _em_blocks(sizes: np.ndarray, budget: int):
+    """(lo, hi) of the consecutive blocks of ascending per-argument table
+    sizes: each the widest block whose table, sized by its last (largest)
+    size, fits the budget and pads no size by more than an eighth, and at
+    least one argument."""
+    lo = 0
+    while lo < sizes.size:
+        first = int(sizes[lo])
+        end = min(lo + max(1, budget // first), int(np.searchsorted(sizes, first + first // 8, "right")))
+        hi = min(lo + max(1, budget // int(sizes[end - 1])), end)
+        yield lo, hi
+        lo = hi
+
+
+@lru_cache(maxsize=None)
+def _em_level(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The odd n of the dyadic range [2^k, 2^(k+1)) of `_em_power_sums`:
+    (primes, f, g) with the primes among them, and for each odd n f = spf(n)
+    and g = n / f, f = 1 for a prime (int32, read-only).  Each range is
+    built at its first use and kept: 0.15 MB for all the ranges below the
+    cutoff at EM_MAX_IM."""
+    odd = np.arange((1 << k) + 1, 2 << k, 2)
+    spf = smallest_prime_factors((2 << k) - 1)[odd]
+    f = np.where(spf == odd, 1, spf)
+    arrays = tuple(a.astype(np.int32) for a in (odd[f == 1], f, odd // f))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def _em_power_sums(s: np.ndarray, n_cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -244,39 +331,24 @@ def _em_power_sums(s: np.ndarray, n_cut: np.ndarray) -> tuple[np.ndarray, np.nda
     order = np.argsort(n_cut, kind="stable")
     n_sorted = n_cut[order]
     n_top = int(n_sorted[-1])
-    spf = smallest_prime_factors(n_top)
-    levels = []
-    for k in range(2, n_top.bit_length()):
-        odd = np.arange((1 << k) + 1, min(2 << k, n_top + 1), 2)
-        f = np.where(spf[odd] == odd, 1, spf[odd])
-        levels.append((1 << k, odd[f == 1], f, odd // f))
-
-    def padded(n: int) -> int:  # rows 0..n rounded up to whole lanes
-        return -(-(n + 1) // _EM_LANES) * _EM_LANES
-
-    logs = np.log(np.maximum(np.arange(padded(n_top)), 1))
-    entries = max(_BLOCK_BUDGET, padded(n_top))
+    logs = np.log(np.maximum(np.arange(_em_padded(n_top)), 1))
+    entries = max(_BLOCK_BUDGET, _em_padded(n_top))
     table_buf = np.empty(entries, dtype=complex)
     weighted_buf = np.empty(2 * entries)
-    lo = 0
-    while lo < s.size:
-        # Widest block whose table, sized by its last (largest) N, fits the budget.
-        widest = max(1, _BLOCK_BUDGET // padded(int(n_sorted[lo])))
-        top = int(n_sorted[min(lo + widest, s.size) - 1])
-        hi = min(lo + max(1, _BLOCK_BUDGET // padded(top)), s.size)
+    # A block holds its table rows and the _EM_LANES partial rows of `_lane_sum`.
+    for lo, hi in _em_blocks(_em_padded(n_sorted) + _EM_LANES, _BLOCK_BUDGET):
         idx, nb = order[lo:hi], n_sorted[lo:hi]
         sb = s[idx]
-        lo = hi
         n_max = int(nb[-1])
-        rows = padded(n_max)
+        rows = _em_padded(n_max)
         table = table_buf[: rows * idx.size].reshape(rows, idx.size)
         table[0] = 0.0
         table[1] = 1.0
-        table[2:4] = np.exp(np.multiply.outer(-logs[2:4], sb))  # N >= 20 > 3
+        table[2:4] = np.exp(np.multiply.outer(-logs[2:4], sb))  # N >= 4 > 3
         table[n_max + 1 :] = 0.0
-        for start, primes, f, g in levels:
-            if start > n_max:
-                break
+        for k in range(2, n_max.bit_length()):
+            start = 1 << k
+            primes, f, g = _em_level(k)
             end = min(2 * start, n_max + 1)
             p = primes[primes < end]
             table[p] = np.exp(np.multiply.outer(-logs[p], sb))
@@ -294,18 +366,103 @@ def _em_power_sums(s: np.ndarray, n_cut: np.ndarray) -> tuple[np.ndarray, np.nda
     return zeta, dzeta
 
 
-def _zeta_em_core(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Euler-Maclaurin zeta and derivative for a 1-d array of s, each with its
-    own cutoff N from `_em_cutoffs` and M = EM_BERNOULLI_TERMS.
+@lru_cache(maxsize=None)
+def _em_tail_coefs(size: int) -> np.ndarray:
+    """b_k = B_{2k} (2 pi)^{2k} / (2k)! = (-1)^{k+1} 2 zeta(2k), k = 1..size.
 
-    Returns (zeta, zeta', estimate).  The estimate bounds the error of zeta,
-    not of zeta'.  It adds the first omitted Bernoulli term, scaled by the
-    usual |s + 2M + 1| / (sigma + 2M + 1) factor, and the roundoff, in units
-    of EM_ROUNDOFF_COEF eps: the float64 phases Im(s) log n of the power sum,
-    and the cancellation of the power sum against N^{1-s} / (s - 1).
+    Up to B_22 from the exact Bernoulli numbers; past them from the series
+    of zeta(2k), whose terms n^{-2k} n > 40 stay below 1e-38.
     """
-    m_terms = EM_BERNOULLI_TERMS
-    n_cut = _em_cutoffs(s)
+    k = np.arange(1, size + 1)
+    n = np.arange(40.0, 0.0, -1.0)[:, None]  # smallest terms first
+    coefs = 2.0 * (n ** (-2.0 * k)).sum(axis=0)
+    coefs[1::2] *= -1.0
+    bern = _bernoulli(22)
+    for j in range(1, min(size, 11) + 1):
+        coefs[j - 1] = bern[2 * j] * TWO_PI ** (2 * j) / math.factorial(2 * j)
+    coefs.flags.writeable = False
+    return coefs
+
+
+# Entries of one block of the (k, argument) tables of `_em_tail`.
+_EM_TAIL_BUDGET = 1 << 14
+
+
+def _em_tail(s: np.ndarray, u: np.ndarray, m_terms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The scaled Bernoulli tail of each argument, with u = 2 pi N and b_k
+    from `_em_tail_coefs`: (sum_{k<=M} b_k R_k, its s-derivative,
+    b_{M+1} R_{M+1}), where
+
+        R_k = prod_{j=2}^{k} g_j,    g_j = (s + 2j - 3)(s + 2j - 2) / u^2.
+
+    The k-th Euler-Maclaurin correction, B_{2k} / (2k)! s (s+1)...(s+2k-2)
+    N^{1-s-2k}, is b_k R_k s N^{-s} / (2 pi u).  Each |g_j| is at most q^2 < 1
+    for j <= M + 1, so R_k cannot overflow, whatever |s|.
+
+    The sum runs by Horner's rule, v = b_k + g_{k+1} v for k = M, ..., 1,
+    with v' = g_{k+1} v' + g'_{k+1} v and the product R_{M+1} of the g_{k+1}
+    alongside.  The arguments, sorted by M, are cut into blocks of at most
+    _EM_TAIL_BUDGET entries of the (k, argument) tables of g and g', filled
+    in real arithmetic from x = sigma + 2j - 5/2: g_j u^2 = x^2 - t^2 - 1/4
+    + 2ixt and g'_j u^2 = 2x + 2it.  Step k runs on the arguments with
+    M >= k, a tail slice of the block, so each argument's sums stop at its
+    own M and depend on no other argument.
+    """
+    out = np.empty((3, s.size), dtype=complex)
+    if not s.size:
+        return out
+    order = np.argsort(m_terms, kind="stable")
+    m_sorted = m_terms[order]
+    coefs = _em_tail_coefs(1 << int(m_sorted[-1]).bit_length())  # b_1..b_{M+1}
+    for lo, hi in _em_blocks(m_sorted, _EM_TAIL_BUDGET):
+        idx, mb = order[lo:hi], m_sorted[lo:hi]
+        top = int(mb[-1])
+        sb = s[idx]
+        inv_u2 = 1.0 / (u[idx] * u[idx])
+        x = sb.real + np.arange(1.5, 2.0 * top, 2.0)[:, None]  # rows j = 2..top+1
+        g = np.empty(x.shape, dtype=complex)
+        dg = np.empty_like(g)
+        np.multiply(x, x, out=g.real)
+        g.real -= sb.imag * sb.imag + 0.25
+        g.real *= inv_u2
+        np.multiply(x, 2.0 * sb.imag * inv_u2, out=g.imag)
+        np.multiply(x, 2.0 * inv_u2, out=dg.real)
+        dg.imag = 2.0 * sb.imag * inv_u2
+        acc = np.zeros((3, idx.size), dtype=complex)  # rows v, v', R_{M+1}
+        acc[2] = 1.0
+        product = np.empty(idx.size, dtype=complex)
+        starts = np.searchsorted(mb, np.arange(top + 1)).tolist()
+        first_live = -1
+        for k in range(top, 0, -1):
+            if starts[k] != first_live:  # the arguments with M >= k
+                first_live = starts[k]
+                live, g_live, dg_live = acc[:, first_live:], g[:, first_live:], dg[:, first_live:]
+                v, dv, prod_live = live[0], live[1], product[first_live:]
+            np.multiply(v, dg_live[k - 1], prod_live)
+            live *= g_live[k - 1]
+            dv += prod_live
+            v += coefs[k - 1]
+        out[:, idx] = acc
+    out[2] *= coefs[m_terms]
+    return out
+
+
+def _zeta_em_core(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Euler-Maclaurin zeta and derivative for a 1-d array of s with
+    sigma >= -1/2, each with its own cutoff N and Bernoulli terms M from
+    `_em_cutoffs`.
+
+    Returns (zeta, zeta', estimate).  The power sum comes from
+    `_em_power_sums` and the Bernoulli tail from `_em_tail`, which carries
+    the rising factorial s(s+1)...(s+2k-2) already scaled by (2 pi N)^{-2k+1},
+    so no argument overflows it.  The estimate bounds the error of zeta, not
+    of zeta'.  It adds the argument's first omitted Bernoulli term, scaled
+    by the usual |s + 2M + 1| / (sigma + 2M + 1) factor, and the roundoff,
+    in units of EM_ROUNDOFF_COEF eps: the float64 phases Im(s) log n of the
+    power sum, and the cancellation of the power sum against
+    N^{1-s} / (s - 1).
+    """
+    n_cut, m_terms = _em_cutoffs(s)
     zeta, dzeta = _em_power_sums(s, n_cut)
 
     n_f = n_cut.astype(float)
@@ -316,31 +473,13 @@ def _zeta_em_core(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     zeta += n_pow_1ms / sm1 - 0.5 * n_pow_ms
     dzeta += (-log_n * n_pow_1ms / sm1 - n_pow_1ms / sm1**2) + 0.5 * log_n * n_pow_ms
 
-    # Correction terms B_{2k}/(2k)! * prod_{i=0}^{2k-2}(s+i) * N^{-s-2k+1},
-    # with the rising-factorial product and its s-derivative carried by a
-    # product-rule recursion (no divisions, so zeros of the product are safe).
-    bern = _bernoulli(2 * m_terms + 4)
-    inv_n2 = 1.0 / (n_f * n_f)
-    prod = s.copy()
-    dprod = np.ones_like(s)
-    coef = bern[2] / 2.0
-    scale = n_pow_ms / n_f
-    zeta += coef * prod * scale
-    dzeta += coef * (dprod - prod * log_n) * scale
-    for k in range(1, m_terms + 1):
-        coef *= (bern[2 * k + 2] / bern[2 * k]) / ((2 * k + 1) * (2 * k + 2))
-        f1 = s + (2 * k - 1)
-        f2 = s + 2 * k
-        dprod = dprod * f1 * f2 + prod * (f1 + f2)
-        prod = prod * f1 * f2
-        scale = scale * inv_n2
-        if k < m_terms:
-            zeta += coef * prod * scale
-            dzeta += coef * (dprod - prod * log_n) * scale
-    omitted = np.abs(coef * prod * scale)
-    est = omitted * np.abs(s + 2 * m_terms + 1) / np.maximum(
-        s.real + 2 * m_terms + 1, 1.0
-    )
+    u = TWO_PI * n_f
+    sums, dsums, omitted = _em_tail(s, u, m_terms)
+    lead = n_pow_ms / (TWO_PI * u)  # N^{-s} / (4 pi^2 N)
+    zeta += lead * s * sums
+    dzeta += lead * (sums * (1.0 - s * log_n) + s * dsums)
+    terms = 2.0 * m_terms + 1.0
+    est = np.abs(lead * s * omitted) * np.abs(s + terms) / np.maximum(s.real + terms, 1.0)
     # The phase errors eps |Im s| log n fall on terms n^{-sigma}, up to
     # N^{1/2 - sigma} times their size on the line; the power sum and
     # N^{1-s} / (s - 1) cancel down to zeta.
@@ -409,7 +548,14 @@ def zeta_em_vec(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         dchi = chi * (_LOG_2PI + 0.5 * math.pi * cot - _digamma_vec(w))
         zeta[reflect] = chi * zw
         dzeta[reflect] = dchi * zw - chi * dzw
-        est[reflect] = (np.abs(chi) + np.abs(dchi)) * ew + 1.0e-15 * np.abs(chi * zw)
+        # The float64 terms of log chi set its roundoff: the largest are the
+        # shift and Stirling sums of `_lgamma_vec`, about 2 |w'| log |w'|
+        # with |w'| = |w| + _GAMMA_SHIFT.
+        shifted = np.abs(w) + _GAMMA_SHIFT
+        chi_terms = np.abs(sr) * _LOG_2PI + np.abs(log_sin) + 2.0 * shifted * np.log(shifted)
+        est[reflect] = (np.abs(chi) + np.abs(dchi)) * ew + (
+            EM_ROUNDOFF_COEF * sys.float_info.epsilon * chi_terms * np.abs(chi * zw)
+        )
     return zeta.reshape(s.shape), dzeta.reshape(s.shape), est.reshape(s.shape)
 
 
@@ -1040,8 +1186,10 @@ def count_sign_changes(t0: float, t1: float) -> tuple[int, list[float]]:
     Uses the oracle path only, so the count is independent of the
     Riemann-Siegel machinery it is used to validate.  All brackets are
     bisected in lockstep, one z_oracle call per step; each stops once its
-    width is within REFINE_TOL.
+    width is within REFINE_TOL.  Raises DomainError for a non-finite end.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"count_sign_changes needs finite ends, got [{t0}, {t1}]")
     grid = np.arange(t0, t1 + SCAN_STEP, SCAN_STEP)
     grid = grid[grid <= t1]
     vals = z_oracle(grid)

@@ -10,14 +10,18 @@ from hypothesis import given, settings, strategies as st
 from zetalab.critline import (
     RS_ROUNDOFF_COEF,
     GridData,
+    _EM_TAIL_TARGET,
     _GRID_PIECE,
     _LATTICE_MIN_N,
     _MAIN_SUM_SETUPS,
     _chebyshev_basis,
+    _em_cutoffs,
+    _em_padded,
     _hardy_grid,
     _main_sum_setup,
     _rs_corrections,
     _rs_models,
+    _zeta_em_core,
     count_sign_changes,
     critical_sample,
     eval_grid,
@@ -183,17 +187,80 @@ def test_zeta_em_line_across_chunks():
 
 def test_zeta_em_estimate_covers_mpmath():
     # The estimate bounds the error of zeta (not of zeta') on the line up to
-    # EM_MAX_IM, where the float64 phase roundoff dominates, and near the pole,
-    # where contour main terms evaluate zeta(1 + z_i - z_j).
+    # EM_MAX_IM, where the float64 phase roundoff dominates; near the pole,
+    # where contour main terms evaluate zeta(1 + z_i - z_j); and on the
+    # reflected side, where the roundoff of chi dominates near the real axis.
     mpmath = pytest.importorskip("mpmath")
     line = 0.5 + 1.0j * np.geomspace(10.0, 1.0e5, 40)
     ring = np.exp(2j * np.pi * np.arange(8) / 8)
     near_pole = np.concatenate([1.0 + r * ring for r in (0.02, 0.1, 0.6)])
-    s = np.concatenate([line, near_pole])
+    reflected = np.array([
+        -0.934873 - 0.485448j, -1.0 + 0.2j, -4.0 - 0.3j, -0.77 + 0.042j,
+        -2.63 + 0.049j, -5.16 - 0.062j, -1.0, -2.5, -6.0 + 0.01j, -0.6 + 3.0j,
+        -3.2 - 14.0j, -5.5 + 40.0j, -1.7 + 150.0j, -0.8 - 420.0j, -3.17 + 667.0j,
+        -6.0 + 1.0e3j,
+    ])
+    s = np.concatenate([line, near_pole, reflected])
     zv, _, est = zeta_em_vec(s)
     with mpmath.workdps(30):
         ref = np.array([complex(mpmath.zeta(mpmath.mpc(x.real, x.imag))) for x in s])
     assert np.all(est >= np.abs(zv - ref))
+
+
+def _em_domain():
+    """Arguments of `_zeta_em_core` across the oracle's domain: the line to
+    EM_MAX_IM, off it, the reflected 1 - s of sigma < -1/2, near the pole
+    and on the real axis."""
+    rng = np.random.default_rng(7)
+    line = 0.5 + 1.0j * np.geomspace(10.0, 1.0e5, 120)
+    off = rng.uniform(-0.5, 3.0, 80) + 1.0j * np.geomspace(1.0, 1.0e5, 80)
+    reflected = 1.0 - (rng.uniform(-6.0, -0.5, 60) + 1.0j * rng.uniform(-1.0e5, 1.0e5, 60))
+    near_pole = 1.0 + rng.uniform(0.01, 1.0, 40) * np.exp(2j * np.pi * rng.uniform(size=40))
+    real = np.array([-0.5, 0.0, 0.3, 2.0, 7.5, 40.0, 300.0])
+    return np.concatenate([line, off, reflected, near_pole, real])
+
+
+def test_em_cutoffs_meet_truncation_bound():
+    # Every (N, M) keeps 2 N^e q^{2M} under the target, with e = max(1 -
+    # sigma, 1/2) and q = (|s| + 2M) / (2 pi N).
+    s = _em_domain()
+    n, m = _em_cutoffs(s)
+    assert np.all(n >= 4) and np.all(m >= 1)
+    expo = np.maximum(1.0 - s.real, 0.5)
+    q = (np.abs(s) + 2.0 * m) / (TWO_PI * n)
+    log_bound = math.log(2.0) + expo * np.log(n) + 2.0 * m * np.log(q)
+    assert np.all(log_bound < math.log(_EM_TAIL_TARGET))
+
+
+def test_em_mixed_terms_keep_each_value_bits():
+    # Arguments with different Bernoulli terms M share the tail's blocks;
+    # each value, its derivative and its estimate keep the bits they have
+    # alone.
+    s = np.array([1.02 + 0.3j, 0.5 + 30.0j, 0.5 + 3.0e3j, -3.0 + 20.0j, 2.0, 0.5 + 9.9e4j, 0.9 - 0.4j])
+    _, m = _em_cutoffs(np.where(s.real < -0.5, 1.0 - s, s))
+    assert np.unique(m).size >= 5
+    zv, dzv, ev = zeta_em_vec(s)
+    for i, x in enumerate(s):
+        z, dz, e = zeta_em_vec(np.array([x]))
+        assert (zv[i], dzv[i], ev[i]) == (z[0], dz[0], e[0])
+
+
+def test_em_cutoffs_shrink_line_tables():
+    # The fixed M = 30 rule padded this batch to 6 774 048 table rows.
+    t = np.sort(np.random.default_rng(0).uniform(1.0e2, 1.0e5, 400))
+    n, _ = _em_cutoffs(0.5 + 1.0j * t)
+    assert int(_em_padded(n).sum()) <= 0.65 * 6_774_048
+
+
+def test_em_scaled_tail_past_the_oracle_cap():
+    # Past EM_MAX_IM the rising factorial of the tail overflowed before it
+    # was scaled; carried scaled, the core agrees with Riemann-Siegel.
+    t = 1.0e6
+    zeta, _, est = _zeta_em_core(np.array([complex(0.5, t)]))
+    assert np.isfinite(zeta[0]) and np.isfinite(est[0])
+    z_em = (np.exp(1j * theta_gamma(t)) * zeta[0]).real
+    z_rs = critical_sample(t).Z
+    assert abs(z_em - z_rs) <= rs_error_estimate(t) + est[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +556,12 @@ def test_sign_changes_to_100():
     assert count == 29
     assert zeros[0] == pytest.approx(14.134725, abs=1e-5)
     assert zeros[1] == pytest.approx(21.022040, abs=1e-5)
+
+
+@pytest.mark.parametrize("ends", [(math.nan, 100.0), (0.0, math.inf)])
+def test_sign_changes_reject_non_finite_ends(ends):
+    with pytest.raises(DomainError):
+        count_sign_changes(*ends)
 
 
 # ---------------------------------------------------------------------------
