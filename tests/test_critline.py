@@ -253,8 +253,9 @@ def test_em_cutoffs_shrink_line_tables():
 
 
 def test_em_scaled_tail_past_the_oracle_cap():
-    # Past EM_MAX_IM the rising factorial of the tail overflowed before it
-    # was scaled; carried scaled, the core agrees with Riemann-Siegel.
+    # Unscaled, the tail's rising factorial overflows past EM_MAX_IM;
+    # carried scaled by 2 pi N per factor, the core agrees with
+    # Riemann-Siegel there.
     t = 1.0e6
     zeta, _, est = _zeta_em_core(np.array([complex(0.5, t)]))
     assert np.isfinite(zeta[0]) and np.isfinite(est[0])
